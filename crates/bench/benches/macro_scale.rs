@@ -1,9 +1,9 @@
 //! Macro-scale time-model benchmark: runs `examples/scenarios/macro-scale.toml`
 //! (1024 GPUs, one simulated hour, bursty multi-model traffic) under the
-//! wake-on-work event engine (serial and parallel node plane) and the
-//! legacy dense quantum stepper, verifies all three produce the identical
-//! report, and records the wall-clock speedups in `BENCH_macro_scale.json`
-//! at the repository root so future PRs track the perf trajectory.
+//! wake-on-work event engine and the legacy dense quantum stepper,
+//! verifies both produce the identical report, and records the wall-clock
+//! speedup in `BENCH_macro_scale.json` at the repository root so future
+//! PRs track the perf trajectory.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -11,28 +11,23 @@ use std::time::Instant;
 use dilu_cluster::ClusterReport;
 use dilu_core::{NetworkSection, Registry, ScenarioConfig};
 
-/// Thread count for the parallel event-core run (`[sim] threads`).
-const PARALLEL_THREADS: u32 = 4;
-
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn run(config: &ScenarioConfig, model: &str, threads: u32) -> (ClusterReport, f64) {
-    let (report, secs, _) = run_inner(config, model, threads, false);
+fn run(config: &ScenarioConfig, model: &str) -> (ClusterReport, f64) {
+    let (report, secs, _) = run_inner(config, model, false);
     (report, secs)
 }
 
 fn run_inner(
     config: &ScenarioConfig,
     model: &str,
-    threads: u32,
     profile: bool,
 ) -> (ClusterReport, f64, Option<dilu_metrics::PhaseProfile>) {
     let mut config = config.clone();
     let sim = config.sim.get_or_insert_with(Default::default);
     sim.time_model = Some(model.to_owned());
-    sim.threads = Some(threads);
     if profile {
         sim.profile = Some(true);
     }
@@ -46,21 +41,21 @@ fn run_inner(
     (report, started.elapsed().as_secs_f64(), prof)
 }
 
-/// Median of three timed runs of the serial event lane, all of which must
+/// Median of three timed runs of the event lane, all of which must
 /// produce the identical report. One sample is noise on a shared machine;
 /// the committed headline should not move with scheduler luck.
 fn run_event_median3(config: &ScenarioConfig) -> (ClusterReport, f64, Vec<f64>) {
     let mut samples = Vec::new();
     let mut reports = Vec::new();
     for _ in 0..3 {
-        let (report, secs) = run(config, "event-driven", 1);
+        let (report, secs) = run(config, "event-driven");
         samples.push(secs);
         reports.push(report);
     }
     let json0 = serde_json::to_string(&reports[0]).expect("report serializes");
     for r in &reports[1..] {
         let j = serde_json::to_string(r).expect("report serializes");
-        assert_eq!(j, json0, "serial event runs must be deterministic");
+        assert_eq!(j, json0, "event runs must be deterministic");
     }
     let mut sorted = samples.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
@@ -82,65 +77,45 @@ fn main() {
 
     println!(
         "== macro-scale: {gpus} GPUs, {horizon_secs} s simulated, \
-         serial/parallel event + dense ({hardware_threads} hardware threads) =="
+         event + dense ({hardware_threads} hardware threads) =="
     );
     let (event_report, event_secs, event_samples) = run_event_median3(&config);
     println!(
-        "event-driven (serial):    {event_secs:.2} s wall (median of {:?})",
+        "event-driven:           {event_secs:.2} s wall (median of {:?})",
         event_samples.iter().map(|s| round2(*s)).collect::<Vec<_>>()
     );
-    let (parallel_report, parallel_secs) = run(&config, "event-driven", PARALLEL_THREADS);
-    println!("event-driven ({PARALLEL_THREADS} threads): {parallel_secs:.2} s wall");
-    let (dense_report, dense_secs) = run(&config, "dense-quantum", 1);
-    println!("dense-quantum:            {dense_secs:.2} s wall");
+    let (dense_report, dense_secs) = run(&config, "dense-quantum");
+    println!("dense-quantum:          {dense_secs:.2} s wall");
 
-    // Same fidelity, not approximately: every execution mode must emit the
+    // Same fidelity, not approximately: both time models must emit the
     // identical report before the wall clocks are comparable at all.
     let event_json = serde_json::to_string(&event_report).expect("report serializes");
-    let parallel_json = serde_json::to_string(&parallel_report).expect("report serializes");
     let dense_json = serde_json::to_string(&dense_report).expect("report serializes");
     assert_eq!(event_json, dense_json, "time models diverged on the macro-scale scenario");
-    assert_eq!(
-        parallel_json, event_json,
-        "parallel node plane diverged from serial on the macro-scale scenario"
-    );
 
     // Network-plane lane: same scenario with the datacenter topology priced
-    // in, so the bench tracks what flow bookkeeping costs the event core —
-    // and that the parallel node plane stays byte-identical with it on.
+    // in, so the bench tracks what flow bookkeeping costs the event core.
     let mut networked = config.clone();
     networked.network =
         Some(NetworkSection { preset: Some("datacenter".to_owned()), ..Default::default() });
-    let (network_report, network_secs) = run(&networked, "event-driven", 1);
-    println!("event-driven + network:   {network_secs:.2} s wall");
-    let (network_parallel_report, network_parallel_secs) =
-        run(&networked, "event-driven", PARALLEL_THREADS);
-    println!("network ({PARALLEL_THREADS} threads):      {network_parallel_secs:.2} s wall");
-    let network_json = serde_json::to_string(&network_report).expect("report serializes");
-    let network_parallel_json =
-        serde_json::to_string(&network_parallel_report).expect("report serializes");
-    assert_eq!(
-        network_parallel_json, network_json,
-        "parallel node plane diverged from serial with the network plane on"
-    );
+    let (network_report, network_secs) = run(&networked, "event-driven");
+    println!("event-driven + network: {network_secs:.2} s wall");
     let cold_fetches: u64 =
         network_report.inference.values().map(|f| f.cold_starts.fetches()).sum();
 
     let speedup = dense_secs / event_secs;
-    let parallel_speedup = event_secs / parallel_secs;
     let requests: u64 = event_report.inference.values().map(|f| f.arrived).sum();
     println!(
-        "event vs dense: {speedup:.2}x | parallel vs serial: {parallel_speedup:.2}x \
-         ({requests} requests, mean SVR {:.2}%, peak {} GPUs)",
+        "event vs dense: {speedup:.2}x ({requests} requests, mean SVR {:.2}%, peak {} GPUs)",
         event_report.mean_svr() * 100.0,
         event_report.peak_gpus,
     );
 
-    // One extra serial run with the phase profiler on: its wall clock is
+    // One extra event run with the phase profiler on: its wall clock is
     // NOT the headline (timer reads cost a few percent), but its per-phase
     // breakdown explains where the headline seconds go — and its report
     // must still be byte-identical, since profiling is observational.
-    let (profiled_report, _, profile) = run_inner(&config, "event-driven", 1, true);
+    let (profiled_report, _, profile) = run_inner(&config, "event-driven", true);
     let profiled_json = serde_json::to_string(&profiled_report).expect("report serializes");
     assert_eq!(profiled_json, event_json, "profiling must not perturb the report");
     let profile = profile.expect("profile requested");
@@ -158,14 +133,11 @@ fn main() {
                 event_samples.iter().map(|&x| serde::Value::Float(round2(x))).collect(),
             ),
         ),
-        (s("parallel_event_wall_secs"), serde::Value::Float(round2(parallel_secs))),
-        (s("parallel_threads"), serde::Value::UInt(u64::from(PARALLEL_THREADS))),
         (s("hardware_threads"), serde::Value::UInt(u64::from(hardware_threads))),
         (s("dense_quantum_wall_secs"), serde::Value::Float(round2(dense_secs))),
         (s("network_event_wall_secs"), serde::Value::Float(round2(network_secs))),
         (s("network_cold_fetches"), serde::Value::UInt(cold_fetches)),
         (s("speedup"), serde::Value::Float(round2(speedup))),
-        (s("parallel_speedup"), serde::Value::Float(round2(parallel_speedup))),
         (s("reports_identical"), serde::Value::Bool(true)),
         (s("peak_gpus"), serde::Value::UInt(u64::from(event_report.peak_gpus))),
         (s("mean_svr"), serde::Value::Float(round2(event_report.mean_svr() * 100.0))),
@@ -179,23 +151,6 @@ fn main() {
         "acceptance: event engine must be at least 5x faster than dense stepping \
          on the macro-scale scenario (got {speedup:.2}x)"
     );
-    // The parallel acceptance bar only binds where the hardware can
-    // actually run the workers: on a machine with fewer cores than the
-    // thread count the pool degrades to (correct) time-sliced execution
-    // and the measured ratio reflects the scheduler, not the design.
-    if hardware_threads >= PARALLEL_THREADS {
-        assert!(
-            parallel_speedup >= 2.0,
-            "acceptance: the parallel event core must be at least 2x faster than serial \
-             at {PARALLEL_THREADS} threads on {hardware_threads} hardware threads \
-             (got {parallel_speedup:.2}x)"
-        );
-    } else {
-        println!(
-            "[skipping the >=2x parallel acceptance assert: {hardware_threads} hardware \
-             thread(s) < {PARALLEL_THREADS} workers]"
-        );
-    }
 }
 
 fn s(text: &str) -> serde::Value {

@@ -48,17 +48,15 @@ fn usage() -> String {
      \n\
      USAGE:\n\
      \x20 dilu run <scenario.toml|.json> [--json <out.json>] [--time-model <event-driven|dense-quantum>]\n\
-     \x20          [--threads <n>] [--arrival-window <n>] [--profile] [--progress]\n\
+     \x20          [--arrival-window <n>] [--profile] [--progress]\n\
      \x20     Build the scenario described by the config file and simulate it.\n\
      \x20     --time-model overrides the scenario's [sim] time_model (the\n\
      \x20     wake-on-work event engine by default; dense-quantum is the\n\
-     \x20     legacy per-quantum stepper kept for comparison). --threads\n\
-     \x20     overrides [sim] threads (node-plane step parallelism; the\n\
-     \x20     report is byte-identical at any setting). --arrival-window\n\
-     \x20     overrides [sim] arrival_window, the bounded per-function\n\
-     \x20     pending-arrival buffer streamed from each arrival process\n\
-     \x20     (0 materializes every schedule up front; the report is\n\
-     \x20     byte-identical at any window). --profile turns on the\n\
+     \x20     legacy per-quantum stepper kept for comparison).\n\
+     \x20     --arrival-window overrides [sim] arrival_window, the bounded\n\
+     \x20     per-function pending-arrival buffer streamed from each\n\
+     \x20     arrival process (0 materializes every schedule up front; the\n\
+     \x20     report is byte-identical at any window). --profile turns on the\n\
      \x20     per-phase wall-clock profiler ([sim] profile): a table of\n\
      \x20     where the simulation wall clock went, also embedded under\n\
      \x20     \"profile\" in the --json output. --progress paints a\n\
@@ -78,10 +76,8 @@ fn usage() -> String {
      \x20 dilu replay --diff <a.dlog> <b.dlog>\n\
      \x20     Structurally compare two logs and print the first divergent\n\
      \x20     event (instant, seq, payload) plus the audit delta around it.\n\
-     \x20 dilu experiment <name>... | all [--threads <n>]\n\
+     \x20 dilu experiment <name>... | all\n\
      \x20     Regenerate registered paper experiments (JSON under target/experiments/).\n\
-     \x20     --threads sets the default node-plane step parallelism (the\n\
-     \x20     DILU_THREADS environment variable) for every experiment run.\n\
      \x20 dilu fuzz [--cases N] [--seed S] [--oracle <name>]... [--minimize] [--dump-dir <dir>]\n\
      \x20     Generate N scenarios across the whole composition space (seeded,\n\
      \x20     reproducible) and check every one against the invariant oracles:\n\
@@ -115,7 +111,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut scenario_path: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut time_model: Option<String> = None;
-    let mut threads: Option<u32> = None;
     let mut arrival_window: Option<u32> = None;
     let mut profile = false;
     let mut progress = false;
@@ -129,9 +124,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--time-model" => {
                 let model = it.next().ok_or("--time-model needs a value")?;
                 time_model = Some(model.clone());
-            }
-            "--threads" => {
-                threads = Some(parse_threads(it.next())?);
             }
             "--arrival-window" => {
                 let n = it.next().ok_or("--arrival-window needs a number")?;
@@ -154,7 +146,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let path =
         scenario_path.ok_or_else(|| format!("`dilu run` needs a scenario file\n\n{}", usage()))?;
-    let options = RunOptions { time_model, threads, arrival_window, profile, progress };
+    let options = RunOptions { time_model, arrival_window, profile, progress };
     run_scenario(&path, json_out.as_deref(), &options)
 }
 
@@ -162,19 +154,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 #[derive(Default)]
 struct RunOptions {
     time_model: Option<String>,
-    threads: Option<u32>,
     arrival_window: Option<u32>,
     profile: bool,
     progress: bool,
-}
-
-/// Parses a `--threads` operand: a positive integer.
-fn parse_threads(value: Option<&String>) -> Result<u32, String> {
-    let value = value.ok_or("--threads needs a number")?;
-    match value.parse::<u32>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--threads needs a positive number, got `{value}`")),
-    }
 }
 
 fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> Result<(), String> {
@@ -183,9 +165,6 @@ fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> R
         // Validated with the rest of the [sim] section when the builder maps
         // the config (unknown values fail there, loudly).
         config.sim.get_or_insert_with(Default::default).time_model = Some(model.clone());
-    }
-    if let Some(threads) = options.threads {
-        config.sim.get_or_insert_with(Default::default).threads = Some(threads);
     }
     if let Some(window) = options.arrival_window {
         config.sim.get_or_insert_with(Default::default).arrival_window = Some(window);
@@ -712,32 +691,16 @@ fn find_lint_root() -> Result<PathBuf, String> {
 // ---------------------------------------------------------------------------
 
 fn cmd_experiment(args: &[String]) -> Result<(), String> {
-    // Experiments compose their scenarios internally, so `--threads` flows
-    // through the `DILU_THREADS` default that `SimConfig` reads — every
-    // report stays byte-identical; only the wall clock changes. The env
-    // write happens here on the main thread, before any simulation (and
-    // therefore any step-pool thread) exists, which is the one window
-    // where mutating the environment is race-free.
-    let mut names_args: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            let threads = parse_threads(it.next())?;
-            std::env::set_var("DILU_THREADS", threads.to_string());
-        } else {
-            names_args.push(arg);
-        }
-    }
-    if names_args.is_empty() {
+    if args.is_empty() {
         return Err(format!(
             "`dilu experiment` needs at least one name (or `all`); known: {}",
             experiment_names().join(", ")
         ));
     }
-    let names: Vec<&str> = if names_args.len() == 1 && names_args[0] == "all" {
+    let names: Vec<&str> = if args.len() == 1 && args[0] == "all" {
         experiments::all().iter().map(|e| e.name()).collect()
     } else {
-        names_args.iter().map(|s| s.as_str()).collect()
+        args.iter().map(String::as_str).collect()
     };
     // Resolve everything before running anything, so typos fail fast.
     let mut todo = Vec::new();

@@ -13,8 +13,10 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn write_scenario() -> PathBuf {
-    let path = scratch("progress-scenario.toml");
+/// Writes the scenario under `name`: each test gets its own file, since
+/// tests run concurrently and a shared file could be read mid-rewrite.
+fn write_scenario(name: &str) -> PathBuf {
+    let path = scratch(name);
     std::fs::write(
         &path,
         r#"
@@ -60,7 +62,7 @@ fn run_dilu(args: &[&str]) -> Output {
 
 #[test]
 fn progress_is_stderr_only_and_does_not_change_the_report() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("progress-stderr-scenario.toml");
     let (plain_json, progress_json) = (scratch("plain.json"), scratch("progress.json"));
     let plain =
         run_dilu(&["run", scenario.to_str().unwrap(), "--json", plain_json.to_str().unwrap()]);
@@ -106,7 +108,7 @@ fn progress_is_stderr_only_and_does_not_change_the_report() {
 
 #[test]
 fn arrival_window_override_does_not_change_the_report() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("progress-window-scenario.toml");
     let (default_json, zero_json, tiny_json) =
         (scratch("win-default.json"), scratch("win-zero.json"), scratch("win-tiny.json"));
     run_dilu(&["run", scenario.to_str().unwrap(), "--json", default_json.to_str().unwrap()]);
@@ -142,7 +144,7 @@ fn arrival_window_override_does_not_change_the_report() {
 
 #[test]
 fn bogus_arrival_window_fails_loudly() {
-    let scenario = write_scenario();
+    let scenario = write_scenario("progress-bogus-window-scenario.toml");
     let out = Command::new(env!("CARGO_BIN_EXE_dilu"))
         .args(["run", scenario.to_str().unwrap(), "--arrival-window", "lots"])
         .output()

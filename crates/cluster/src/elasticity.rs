@@ -12,8 +12,7 @@
 //! configured apply latency, then fanned out to every live slice on the
 //! node plane. Identical on both time models (the tick runs inside the
 //! shared controller phase), which is what keeps audit content and
-//! reports byte-identical across dense, serial-event, and parallel-event
-//! execution.
+//! reports byte-identical across dense and event-driven execution.
 
 use std::collections::BTreeMap;
 
@@ -42,11 +41,9 @@ impl ClusterSim {
     /// Registers an observer invoked with a fresh [`AuditSnapshot`] at
     /// every controller tick, before the elasticity controller acts.
     ///
-    /// The hook cadence and content are identical on both time models and
-    /// at every `[sim] threads` setting (it runs inside the shared
-    /// controller phase, on the simulation thread), so an invariant
-    /// checker attached here cannot desynchronise the byte-identical
-    /// reports.
+    /// The hook cadence and content are identical on both time models (it
+    /// runs inside the shared controller phase), so an invariant checker
+    /// attached here cannot desynchronise the byte-identical reports.
     /// Replaces any previously registered hook.
     pub fn set_audit_hook(&mut self, hook: AuditHook) {
         self.audit_hook = Some(hook);

@@ -11,9 +11,8 @@
 //! Internally the simulator is layered into a **control plane** (routing
 //! and dispatch, lifecycle, elasticity execution — the `dispatch`,
 //! `lifecycle`, and `elasticity` modules) over a **node plane** (`nodes`):
-//! per-node GPU runtimes that can be stepped serially or across a
-//! deterministic scoped-thread pool ([`SimConfig::threads`]) with
-//! byte-identical results. The `sim` module sequences the phases.
+//! one array of GPU runtimes, stepped in fixed node-major order. The `sim`
+//! module sequences the phases.
 //!
 //! Three extension points make it policy-agnostic so Dilu and every baseline
 //! run on the identical substrate:

@@ -502,7 +502,20 @@ impl ClusterSim {
         let placed = self.placement.place(&spec, &view);
         self.view_scratch = view;
         let gpus = placed.ok_or(())?;
-        debug_assert_eq!(gpus.len() as u32, spec.gpus_per_instance);
+        // Every address enters the node plane here, and the plane indexes
+        // GPUs densely: an off-grid `gpu` would alias another node's card.
+        let grid = self.spec;
+        assert!(
+            gpus.len() as u32 == spec.gpus_per_instance
+                && gpus.iter().all(|g| g.node < grid.nodes && g.gpu < grid.gpus_per_node),
+            "placement `{}` returned {gpus:?} for `{}`, which needs exactly {} GPU(s) on the \
+             {} x {} grid",
+            self.placement.name(),
+            spec.name,
+            spec.gpus_per_instance,
+            grid.nodes,
+            grid.gpus_per_node,
+        );
         let uid = InstanceUid(self.next_uid);
         self.next_uid += 1;
         let class =

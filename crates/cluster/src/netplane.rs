@@ -15,7 +15,7 @@
 //! at quantum-grid instants — the dense stepper polls it every quantum,
 //! the event core wakes on [`SimEvent::NetFlowDone`] at flow finish
 //! instants — and polling with nothing due is a strict no-op, so reports
-//! stay byte-identical across models and thread counts.
+//! stay byte-identical across models.
 
 use dilu_models::ModelId;
 use dilu_net::{ModelCache, NetPlane, NetworkConfig};

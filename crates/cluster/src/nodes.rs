@@ -1,29 +1,19 @@
-//! The node plane: per-node GPU runtimes and their parallel stepper.
+//! The node plane: every GPU's runtime, stepped in a fixed order.
 //!
 //! [`ClusterSim`](crate::ClusterSim) is layered into a **control plane**
 //! (arrival ingest, routing, placement, elasticity, reporting — see
-//! `dispatch`, `lifecycle`, `elasticity`) and this **node plane**: each
-//! worker node's GPUs live in a [`NodeRuntime`] owning one [`GpuSlot`]
-//! (engine + share policy + sampling accumulators) per card, and the
-//! [`NodePlane`] owns all runtimes plus the cluster-wide occupancy
-//! counter.
+//! `dispatch`, `lifecycle`, `elasticity`) and this **node plane**: one
+//! [`GpuSlot`] (engine + share policy + sampling accumulators) per card,
+//! held by the [`NodePlane`] in a single node-major array with the busy
+//! set and the cluster-wide occupancy counter.
 //!
-//! GPU stepping is embarrassingly parallel *between* the cluster-level
-//! phases: within one quantum no two GPUs share state (grants are local to
-//! a card; completions are merged afterwards by the control plane). The
-//! plane exploits that with a hand-rolled scoped-thread pool
-//! ([`PoolShared`] + [`worker_loop`], driven through [`StepPool`]): busy
-//! node runtimes are *moved* to workers through mailboxes each wake,
-//! stepped, and moved back — no `unsafe`, no shared mutable state, no new
-//! dependencies. Outcomes are merged in ascending node order, so the
-//! merged completion stream is byte-identical to serial stepping no matter
-//! how many threads ran (`[sim] threads`).
+//! Within one quantum no two GPUs share state: grants are local to a card,
+//! and the control plane handles completions afterwards. The plane steps
+//! GPUs in ascending dense index (`node * gpus_per_node + gpu`, the order
+//! of [`ClusterSpec::gpu_addrs`]), so the completion stream it hands back
+//! is node-major on both time models.
 
 use std::collections::BTreeSet;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::Thread;
 
 use dilu_gpu::{Completion, GpuEngine, GpuError, InstanceId, SlotConfig, StepOutcome};
 use dilu_sim::{SimDuration, SimTime};
@@ -114,110 +104,24 @@ impl GpuSlot {
     }
 }
 
-/// One worker node's GPU runtime: its [`GpuSlot`]s, the set of local GPUs
-/// currently holding work, and reusable per-node step outcome buffers.
-///
-/// A `NodeRuntime` is self-contained — stepping touches only its own
-/// slots — which is what lets the plane move it to a worker thread by
-/// value and merge the outcomes deterministically afterwards.
-#[derive(Default)]
-pub(crate) struct NodeRuntime {
-    /// The node's index in [`NodePlane::nodes`] (restores checked-out
-    /// runtimes to their slot after a parallel step).
-    id: u32,
-    slots: Vec<GpuSlot>,
-    /// Local GPU indices holding queued or active work; only these are
-    /// stepped by the event core.
-    busy: BTreeSet<u32>,
-    /// Completions from the last step, in local GPU order.
-    completions: Vec<Completion>,
-    /// Kernel blocks issued per engine slot during the last step.
-    issued: Vec<(InstanceId, u64)>,
-    /// Reused engine step outcome (hot-loop allocation avoidance).
-    scratch: StepOutcome,
-    /// Reused drained-GPU scratch for the busy-set sweep.
-    drained: Vec<u32>,
-}
-
-impl NodeRuntime {
-    /// Steps exactly the local GPUs holding work, dropping drained ones
-    /// from the busy set. Outcomes land in the node buffers for the plane
-    /// to merge in node order.
-    fn step_busy(&mut self, now: SimTime, quantum: SimDuration) {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.drained.clear();
-        for &local in &self.busy {
-            let slot = &mut self.slots[local as usize];
-            slot.advance(now, quantum, &mut out);
-            slot.used_accum += out.total_used.as_fraction();
-            self.completions.append(&mut out.completions);
-            self.issued.append(&mut out.blocks_issued);
-            if slot.engine.next_event_at(now).is_none() {
-                // Drained: the GPU reports no next interesting instant, so
-                // it simply stops being scheduled.
-                self.drained.push(local);
-            }
-        }
-        for &local in &self.drained {
-            self.busy.remove(&local);
-        }
-        self.scratch = out;
-    }
-
-    /// The dense phase: every local GPU, busy or not.
-    fn step_all(&mut self, now: SimTime, quantum: SimDuration) {
-        let mut out = std::mem::take(&mut self.scratch);
-        for slot in &mut self.slots {
-            slot.advance(now, quantum, &mut out);
-            slot.used_accum += out.total_used.as_fraction();
-            self.completions.append(&mut out.completions);
-            self.issued.append(&mut out.blocks_issued);
-        }
-        self.scratch = out;
-    }
-
-    fn step(&mut self, job: &JobKind, now: SimTime, quantum: SimDuration) {
-        match job {
-            JobKind::BusyOnly => self.step_busy(now, quantum),
-            JobKind::AllSlots => self.step_all(now, quantum),
-        }
-    }
-}
-
-/// How a step job treats a node's GPUs.
-#[derive(Clone, Copy)]
-pub(crate) enum JobKind {
-    /// Event core: step only the GPUs in the node's busy set.
-    BusyOnly,
-    /// Dense stepper: walk every GPU of the node.
-    AllSlots,
-}
-
-/// All node runtimes plus cluster-wide occupancy accounting.
+/// Every GPU's [`GpuSlot`] in one node-major array, plus the busy set and
+/// the cluster-wide occupancy counter.
 pub(crate) struct NodePlane {
-    nodes: Vec<NodeRuntime>,
+    /// One slot per GPU, at dense index `node * gpus_per_node + gpu`.
+    gpus: Vec<GpuSlot>,
+    gpus_per_node: u32,
+    /// Dense indices of the GPUs holding queued or active work; only these
+    /// are stepped by the event core.
+    busy: BTreeSet<u32>,
     /// GPUs with at least one admitted resident (cold-starting instances
     /// reserve their slots at launch, so their GPUs count as occupied).
     /// Maintained at [`admit`](Self::admit)/[`evict`](Self::evict) so
     /// [`occupied`](Self::occupied) is O(1) instead of a cluster scan.
     occupied: u32,
-    /// Nodes whose busy set is non-empty (the event core steps only
-    /// these).
-    busy_nodes: BTreeSet<u32>,
-    /// Reused per-worker checkout buffers for parallel steps.
-    share_bufs: Vec<Vec<NodeRuntime>>,
-    /// Reused node-id scratch for the step loop (the hot path must stay
-    /// allocation-free: one wake per quantum at macro scale).
-    ids_buf: Vec<u32>,
+    /// Reused engine step outcome (the hot path must stay allocation-free:
+    /// one wake per quantum at macro scale).
+    scratch: StepOutcome,
 }
-
-/// Minimum nodes per share (worker or the calling thread) before a step
-/// fans out: below this, the per-wake mailbox handoff costs more than the
-/// stepping it offloads, on any core count. The pool engages with however
-/// many workers the busy-node count justifies (`ids / MIN_NODES_PER_SHARE`
-/// shares), so a lightly loaded wake uses one helper and a burst uses them
-/// all. Results are identical on every path.
-pub(crate) const MIN_NODES_PER_SHARE: usize = 2;
 
 impl NodePlane {
     pub(crate) fn new(
@@ -225,27 +129,28 @@ impl NodePlane {
         quantum: SimDuration,
         policy_factory: &dyn PolicyFactory,
     ) -> Self {
-        let nodes = (0..spec.nodes)
-            .map(|id| NodeRuntime {
-                id,
-                slots: (0..spec.gpus_per_node)
-                    .map(|_| GpuSlot {
-                        engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
-                        policy: policy_factory.make(),
-                        used_accum: 0.0,
-                        last_step: None,
-                    })
-                    .collect(),
-                ..NodeRuntime::default()
+        let gpus = (0..spec.total_gpus())
+            .map(|_| GpuSlot {
+                engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
+                policy: policy_factory.make(),
+                used_accum: 0.0,
+                last_step: None,
             })
             .collect();
         NodePlane {
-            nodes,
+            gpus,
+            gpus_per_node: spec.gpus_per_node,
+            busy: BTreeSet::new(),
             occupied: 0,
-            busy_nodes: BTreeSet::new(),
-            share_bufs: Vec::new(),
-            ids_buf: Vec::new(),
+            scratch: StepOutcome::default(),
         }
+    }
+
+    /// The dense index of `addr`. An off-grid `gpu` would alias another
+    /// node's card, so addresses are checked where they enter the plane
+    /// (`ClusterSim::launch_instance`).
+    fn index(&self, addr: GpuAddr) -> u32 {
+        addr.node * self.gpus_per_node + addr.gpu
     }
 
     /// Number of GPUs hosting at least one admitted instance, O(1).
@@ -253,17 +158,14 @@ impl NodePlane {
         self.occupied
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     pub(crate) fn slot_mut(&mut self, addr: GpuAddr) -> &mut GpuSlot {
-        &mut self.nodes[addr.node as usize].slots[addr.gpu as usize]
+        let index = self.index(addr);
+        &mut self.gpus[index as usize]
     }
 
-    /// All slots, mutable, in node-major (dense `gpu_addrs()`) order.
+    /// All slots, mutable, in dense (node-major `gpu_addrs()`) order.
     pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = &mut GpuSlot> {
-        self.nodes.iter_mut().flat_map(|n| n.slots.iter_mut())
+        self.gpus.iter_mut()
     }
 
     /// Admits an engine slot on `addr`, maintaining the occupancy counter.
@@ -294,283 +196,51 @@ impl NodePlane {
     /// Marks a GPU as holding work; returns `true` when it was idle before
     /// (the caller then replays the idle gap into its policy).
     pub(crate) fn mark_busy(&mut self, addr: GpuAddr) -> bool {
-        let node = &mut self.nodes[addr.node as usize];
-        let newly = node.busy.insert(addr.gpu);
-        if newly {
-            self.busy_nodes.insert(addr.node);
-        }
-        newly
+        self.busy.insert(self.index(addr))
     }
 
     /// `true` while any GPU holds queued or active work.
     pub(crate) fn has_busy(&self) -> bool {
-        !self.busy_nodes.is_empty()
+        !self.busy.is_empty()
     }
 
-    /// Rebuilds the busy sets from engine state (event-core entry: in
+    /// Rebuilds the busy set from engine state (event-core entry: in
     /// between `run_until` calls deployments need no busy bookkeeping).
     pub(crate) fn rebuild_busy(&mut self) {
-        self.busy_nodes.clear();
-        for node in &mut self.nodes {
-            node.busy.clear();
-            for (local, slot) in node.slots.iter().enumerate() {
-                if !slot.engine.is_idle() {
-                    node.busy.insert(local as u32);
-                }
-            }
-            if !node.busy.is_empty() {
-                self.busy_nodes.insert(node.id);
-            }
-        }
+        self.busy =
+            (0..).zip(&self.gpus).filter(|(_, s)| !s.engine.is_idle()).map(|(i, _)| i).collect();
     }
 
-    /// Steps the plane for the quantum starting at `now` — busy nodes only
-    /// (event core) or every node (dense stepper) — using up to
-    /// `pool`-many extra worker threads when one is attached, and merges
-    /// per-node outcomes into `completions`/`issued` **in ascending node
-    /// order**, making the merged streams byte-identical to a serial walk
-    /// regardless of thread count.
+    /// Steps the plane for the quantum starting at `now` — only the busy
+    /// GPUs (event core), dropping those that drain, or every GPU (dense
+    /// stepper) — appending completions and issued blocks to the caller's
+    /// buffers in ascending dense index order.
     pub(crate) fn step(
         &mut self,
-        kind: JobKind,
+        busy_only: bool,
         now: SimTime,
         quantum: SimDuration,
-        pool: Option<&StepPool<'_>>,
         completions: &mut Vec<Completion>,
         issued: &mut Vec<(InstanceId, u64)>,
     ) {
-        let mut ids = std::mem::take(&mut self.ids_buf);
-        ids.clear();
-        match kind {
-            JobKind::BusyOnly => ids.extend(self.busy_nodes.iter().copied()),
-            JobKind::AllSlots => ids.extend(0..self.nodes.len() as u32),
-        }
-        if ids.is_empty() {
-            self.ids_buf = ids;
-            return;
-        }
-        match pool {
-            Some(pool) if ids.len() >= 2 * MIN_NODES_PER_SHARE => {
-                self.step_parallel(kind, &ids, now, quantum, pool);
-            }
-            _ => {
-                for &id in &ids {
-                    self.nodes[id as usize].step(&kind, now, quantum);
-                }
-            }
-        }
-        for &id in &ids {
-            let node = &mut self.nodes[id as usize];
-            completions.append(&mut node.completions);
-            issued.append(&mut node.issued);
-            if matches!(kind, JobKind::BusyOnly) && node.busy.is_empty() {
-                self.busy_nodes.remove(&id);
-            }
-        }
-        self.ids_buf = ids;
-    }
-
-    /// Fans one step out over the pool: node runtimes are *moved* to the
-    /// workers through their mailboxes (disjoint ownership, no locking
-    /// during the step), the calling thread works a share of its own, and
-    /// every runtime is restored to its slot before the merge. Which
-    /// thread steps which node is irrelevant to the result — nodes are
-    /// independent within a quantum and the merge order is fixed.
-    fn step_parallel(
-        &mut self,
-        kind: JobKind,
-        ids: &[u32],
-        now: SimTime,
-        quantum: SimDuration,
-        pool: &StepPool<'_>,
-    ) {
-        // Engage only as many shares as the node count justifies: every
-        // share must be worth its handoff (see [`MIN_NODES_PER_SHARE`]).
-        let shares = (pool.workers() + 1).min(ids.len() / MIN_NODES_PER_SHARE).max(1);
-        let workers = shares - 1;
-        self.share_bufs.resize_with(pool.workers(), Vec::new);
-        // Contiguous split; the remainder lands on the main thread's share
-        // so workers start on full chunks first.
-        let chunk = ids.len() / shares;
-        for w in 0..workers {
-            let mut batch = std::mem::take(&mut self.share_bufs[w]);
-            for &id in &ids[w * chunk..(w + 1) * chunk] {
-                batch.push(std::mem::take(&mut self.nodes[id as usize]));
-            }
-            pool.dispatch(w, Job { nodes: batch, kind, now, quantum });
-        }
-        for &id in &ids[workers * chunk..] {
-            self.nodes[id as usize].step(&kind, now, quantum);
-        }
-        for w in 0..workers {
-            let mut job = pool.collect(w);
-            for node in job.nodes.drain(..) {
-                let id = node.id as usize;
-                self.nodes[id] = node;
-            }
-            self.share_bufs[w] = job.nodes;
-        }
-    }
-}
-
-/// One parcel of node stepping handed to a pool worker.
-pub(crate) struct Job {
-    nodes: Vec<NodeRuntime>,
-    kind: JobKind,
-    now: SimTime,
-    quantum: SimDuration,
-}
-
-/// A worker mailbox: the main thread deposits a [`Job`] and bumps
-/// `epoch`; the worker steps it, deposits it back, and echoes the epoch
-/// into `done`.
-struct Mailbox {
-    job: Mutex<Option<Job>>,
-    epoch: AtomicU64,
-    done: AtomicU64,
-    /// The worker's handle, registered at startup, so the main thread can
-    /// unpark it out of its idle wait.
-    worker: Mutex<Option<Thread>>,
-}
-
-/// State shared between the simulation thread and its step workers for
-/// the duration of one `run_until` call. Lives on the caller's stack;
-/// workers borrow it through [`std::thread::scope`].
-pub(crate) struct PoolShared {
-    mail: Vec<Mailbox>,
-    shutdown: AtomicBool,
-    /// Set by a worker whose step panicked; the main thread re-raises.
-    poisoned: AtomicBool,
-    /// The simulation thread, for workers to unpark after finishing.
-    main: Thread,
-}
-
-impl PoolShared {
-    pub(crate) fn new(workers: usize) -> Self {
-        PoolShared {
-            mail: (0..workers)
-                .map(|_| Mailbox {
-                    job: Mutex::new(None),
-                    epoch: AtomicU64::new(0),
-                    done: AtomicU64::new(0),
-                    worker: Mutex::new(None),
-                })
-                .collect(),
-            shutdown: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            main: std::thread::current(),
-        }
-    }
-
-    /// Releases every worker from its wait loop so the scope can join.
-    pub(crate) fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        for mb in &self.mail {
-            if let Some(thread) = mb.worker.lock().expect("mailbox lock").as_ref() {
-                thread.unpark();
-            }
-        }
-    }
-}
-
-/// Shuts the pool down when dropped — including on unwind, so the
-/// enclosing [`std::thread::scope`] can always join its workers. Construct
-/// it *before* spawning the workers: a panic mid-spawn (or anywhere in the
-/// run) must still release the already-parked ones.
-pub(crate) struct PoolGuard<'a>(pub(crate) &'a PoolShared);
-
-impl Drop for PoolGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Bounded-spin wait: a few busy spins for the common fast handoff, a few
-/// yields, then park until unparked. Spurious unparks re-check `ready`.
-fn wait_until(ready: impl Fn() -> bool) {
-    let mut spins = 0u32;
-    while !ready() {
-        spins += 1;
-        if spins < 128 {
-            std::hint::spin_loop();
-        } else if spins < 160 {
-            std::thread::yield_now();
+        let NodePlane { gpus, busy, scratch, .. } = self;
+        let mut step = |slot: &mut GpuSlot| {
+            slot.advance(now, quantum, scratch);
+            slot.used_accum += scratch.total_used.as_fraction();
+            completions.append(&mut scratch.completions);
+            issued.append(&mut scratch.blocks_issued);
+        };
+        if busy_only {
+            // `retain` visits in ascending order. A drained GPU reports no
+            // next interesting instant, so it simply stops being scheduled.
+            busy.retain(|&index| {
+                let slot = &mut gpus[index as usize];
+                step(slot);
+                slot.engine.next_event_at(now).is_some()
+            });
         } else {
-            std::thread::park();
+            gpus.iter_mut().for_each(step);
         }
-    }
-}
-
-/// The body of one pool worker thread: waits for its mailbox epoch to
-/// advance, steps the deposited nodes, hands them back, and signals done.
-/// Returns when [`PoolShared::shutdown`] fires.
-pub(crate) fn worker_loop(shared: &PoolShared, index: usize) {
-    let mb = &shared.mail[index];
-    *mb.worker.lock().expect("mailbox lock") = Some(std::thread::current());
-    let mut seen = 0u64;
-    loop {
-        wait_until(|| {
-            mb.epoch.load(Ordering::Acquire) != seen || shared.shutdown.load(Ordering::Acquire)
-        });
-        let epoch = mb.epoch.load(Ordering::Acquire);
-        if epoch == seen {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        }
-        seen = epoch;
-        let mut job = mb.job.lock().expect("mailbox lock").take();
-        if let Some(job) = job.as_mut() {
-            // A panicking step must not strand the main thread in its
-            // collect wait: flag it, finish the handshake, re-raise there.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                for node in &mut job.nodes {
-                    node.step(&job.kind, job.now, job.quantum);
-                }
-            }));
-            if outcome.is_err() {
-                shared.poisoned.store(true, Ordering::Release);
-            }
-        }
-        *mb.job.lock().expect("mailbox lock") = job;
-        mb.done.store(epoch, Ordering::Release);
-        shared.main.unpark();
-    }
-}
-
-/// The simulation thread's handle on a running worker set.
-pub(crate) struct StepPool<'a> {
-    shared: &'a PoolShared,
-}
-
-impl<'a> StepPool<'a> {
-    pub(crate) fn new(shared: &'a PoolShared) -> Self {
-        StepPool { shared }
-    }
-
-    fn workers(&self) -> usize {
-        self.shared.mail.len()
-    }
-
-    fn dispatch(&self, index: usize, job: Job) {
-        let mb = &self.shared.mail[index];
-        *mb.job.lock().expect("mailbox lock") = Some(job);
-        let epoch = mb.epoch.load(Ordering::Relaxed) + 1;
-        mb.epoch.store(epoch, Ordering::Release);
-        if let Some(thread) = mb.worker.lock().expect("mailbox lock").as_ref() {
-            thread.unpark();
-        }
-    }
-
-    fn collect(&self, index: usize) -> Job {
-        let mb = &self.shared.mail[index];
-        let target = mb.epoch.load(Ordering::Relaxed);
-        wait_until(|| mb.done.load(Ordering::Acquire) == target);
-        if self.shared.poisoned.load(Ordering::Acquire) {
-            panic!("a node-plane step worker panicked");
-        }
-        mb.job.lock().expect("mailbox lock").take().expect("worker returned the job")
     }
 }
 
@@ -623,85 +293,50 @@ mod tests {
         assert_eq!(plane.occupied(), 0);
     }
 
-    /// The pool is a pure executor: stepping N busy nodes through workers
-    /// must merge the identical completion stream as stepping them
-    /// serially, for any worker count. Nine nodes keeps the busy count
-    /// above `2 * MIN_NODES_PER_SHARE`, so the pooled runs genuinely fan
-    /// out (multiple shares, chunked checkout, mailbox round trips) until
-    /// the tail of the drain, when stepping falls back inline — both
-    /// paths are exercised in one run.
+    /// Busy-only stepping (the event core) must hand back exactly the
+    /// completion and `issued` streams of stepping every GPU (the dense
+    /// stepper), in node-major order. The busy GPUs sit on several nodes
+    /// with idle ones between them — an occupied GPU without work, a whole
+    /// idle node — and drain at different quanta, so the busy set shrinks
+    /// from the middle too.
     #[test]
-    fn parallel_step_merges_identically_to_serial() {
-        const NODES: u32 = 9;
-        assert!(NODES as usize >= 2 * MIN_NODES_PER_SHARE, "test must reach the fan-out path");
+    fn busy_only_step_merges_identically_to_stepping_every_gpu() {
+        const QUANTA: u32 = 20;
         let quantum = SimDuration::from_millis(5);
-        let run = |workers: usize| {
-            let mut plane = plane(NODES, 2);
-            for node in 0..NODES {
-                for gpu in 0..2u32 {
-                    let addr = GpuAddr { node, gpu };
-                    let id = InstanceId(u64::from(node * 2 + gpu));
-                    plane.admit(addr, id, config(GB)).unwrap();
-                    plane
-                        .slot_mut(addr)
-                        .engine
-                        .push_work(
-                            id,
-                            WorkItem::compute(
-                                SimDuration::from_millis(7 + u64::from(node)),
-                                SmRate::from_percent(50.0),
-                                100,
-                                u64::from(node * 2 + gpu),
-                            ),
-                        )
-                        .unwrap();
-                }
+        let busy = [(0, 0), (0, 2), (1, 1), (3, 0), (3, 2)];
+        let run = |busy_only: bool| {
+            let mut plane = plane(4, 3);
+            for (i, &(node, gpu)) in (0u64..).zip(&busy) {
+                let addr = GpuAddr { node, gpu };
+                plane.admit(addr, InstanceId(i), config(GB)).unwrap();
+                let work = WorkItem::compute(
+                    SimDuration::from_millis(7 + 4 * i),
+                    SmRate::from_percent(50.0),
+                    100,
+                    i,
+                );
+                plane.slot_mut(addr).engine.push_work(InstanceId(i), work).unwrap();
             }
+            plane.admit(GpuAddr { node: 1, gpu: 0 }, InstanceId(99), config(GB)).unwrap();
             plane.rebuild_busy();
-            let mut completions = Vec::new();
-            let mut issued = Vec::new();
+            let (mut completions, mut issued) = (Vec::new(), Vec::new());
             let mut now = SimTime::ZERO;
-            if workers == 0 {
-                while plane.has_busy() {
-                    plane.step(
-                        JobKind::BusyOnly,
-                        now,
-                        quantum,
-                        None,
-                        &mut completions,
-                        &mut issued,
-                    );
-                    now += quantum;
+            for q in 0..QUANTA {
+                plane.step(busy_only, now, quantum, &mut completions, &mut issued);
+                if q == 0 {
+                    // Instance ids follow `busy`, which lists GPUs node-major.
+                    let order: Vec<u64> = issued.iter().map(|(id, _)| id.0).collect();
+                    assert_eq!(order, [0, 1, 2, 3, 4], "GPUs step in node-major order");
                 }
-            } else {
-                let shared = PoolShared::new(workers);
-                std::thread::scope(|scope| {
-                    // Guard before spawns: a panicking step must release
-                    // the parked workers or the scope join hangs.
-                    let _guard = PoolGuard(&shared);
-                    for w in 0..workers {
-                        let shared = &shared;
-                        scope.spawn(move || worker_loop(shared, w));
-                    }
-                    let pool = StepPool::new(&shared);
-                    while plane.has_busy() {
-                        plane.step(
-                            JobKind::BusyOnly,
-                            now,
-                            quantum,
-                            Some(&pool),
-                            &mut completions,
-                            &mut issued,
-                        );
-                        now += quantum;
-                    }
-                });
+                now += quantum;
             }
+            assert!(
+                !busy_only || !plane.has_busy(),
+                "every busy GPU drains within {QUANTA} quanta"
+            );
+            assert_eq!(completions.len(), busy.len());
             (format!("{completions:?}"), format!("{issued:?}"))
         };
-        let serial = run(0);
-        assert_eq!(run(1), serial, "1 worker diverged");
-        assert_eq!(run(3), serial, "3 workers diverged");
-        assert_eq!(run(11), serial, "11 workers (more than nodes) diverged");
+        assert_eq!(run(true), run(false));
     }
 }

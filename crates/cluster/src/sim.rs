@@ -5,10 +5,9 @@
 //! arrival ingest and routing ([`crate::dispatch`]), instance and
 //! training-job lifecycle ([`crate::lifecycle`]), elasticity execution,
 //! metrics, and auditing ([`crate::elasticity`]). The **node plane**
-//! ([`crate::nodes`]) owns per-node GPU runtimes and steps them — serially
-//! or across a deterministic scoped-thread pool ([`SimConfig::threads`]).
-//! This module owns the state shared by both planes and sequences the
-//! phases.
+//! ([`crate::nodes`]) owns every GPU's runtime and steps them in fixed
+//! node-major order. This module owns the state shared by both planes and
+//! sequences the phases.
 //!
 //! Two time models drive the phases over the same state and the same
 //! semantics:
@@ -26,10 +25,7 @@
 //!
 //! Both models run on the same quantum grid (grants are renegotiated each
 //! token cycle), so an event wake is always a grid instant and skipping a
-//! grid instant is only allowed when it is provably a no-op. And both
-//! models produce byte-identical reports at every `threads` setting: the
-//! node plane merges per-node step outcomes in fixed node order, so
-//! parallelism changes wall clock, never results.
+//! grid instant is only allowed when it is provably a no-op.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -46,7 +42,7 @@ use crate::dispatch::TagSlab;
 use crate::elasticity::PendingResize;
 use crate::instance::{Instance, Request};
 use crate::lifecycle::TrainingJob;
-use crate::nodes::{JobKind, NodePlane, PoolShared, StepPool};
+use crate::nodes::NodePlane;
 use crate::report::{ClusterReport, FunctionReport, TimelinePoint, TrainingReport};
 use crate::traits::{Autoscaler, ClusterView, ElasticityController, Placement, PolicyFactory};
 use crate::{ClusterSpec, FunctionId, FunctionKind, FunctionSpec, InstanceState, InstanceUid};
@@ -91,21 +87,6 @@ pub struct SimConfig {
     pub resize_latency: SimDuration,
     /// The time model driving [`ClusterSim::run_until`].
     pub time_model: TimeModel,
-    /// Threads stepping the node plane's GPUs (clamped to ≥ 1; values
-    /// above the node count gain nothing). `1` steps serially on the
-    /// simulation thread; `n > 1` fans busy nodes out over up to `n − 1`
-    /// pool workers plus the simulation thread. Reports are byte-identical
-    /// at every setting — per-node outcomes are merged in fixed node
-    /// order — so this knob trades wall clock only, never results.
-    ///
-    /// An explicit count is honored as given, not clamped to the host's
-    /// cores: wall-clock wins need spare hardware threads, and an
-    /// oversubscribed count runs correctly but slower (the OS time-slices
-    /// the workers).
-    ///
-    /// Defaults to the `DILU_THREADS` environment variable when set (and
-    /// ≥ 1), else `1`.
-    pub threads: u32,
     /// The network/topology plane. `None` (the default) keeps the legacy
     /// constants: cold starts cost [`crate::cold_start_duration`] and
     /// pipeline stages add [`SimConfig::stage_transfer`] — reports are
@@ -150,20 +131,12 @@ impl Default for SimConfig {
             tick: SimDuration::from_secs(1),
             resize_latency: SimDuration::from_millis(1),
             time_model: TimeModel::EventDriven,
-            threads: default_threads(),
             network: None,
             profile: false,
             arrival_window: 256,
             function_series: true,
         }
     }
-}
-
-/// The `DILU_THREADS` environment override, else 1 — read per call so the
-/// test suite (and CI's `DILU_THREADS=4` lane) can sweep parallelism
-/// without touching every composition site.
-fn default_threads() -> u32 {
-    std::env::var("DILU_THREADS").ok().and_then(|v| v.parse().ok()).filter(|&t| t >= 1).unwrap_or(1)
 }
 
 /// One entry of the event-driven core's future event list.
@@ -296,10 +269,9 @@ pub struct EventRecord {
 }
 
 /// Observer of every event-core pop, in execution order — the record
-/// side of `dilu-replay`. Runs on the simulation thread inside
-/// `process_wake`, before the event's phase flags are applied, so the
-/// stream order is exactly the execution order on every `[sim] threads`
-/// setting.
+/// side of `dilu-replay`. Runs inside `process_wake`, before the event's
+/// phase flags are applied, so the stream order is exactly the execution
+/// order.
 pub type EventHook = Box<dyn FnMut(EventRecord)>;
 
 /// Observer of every pending-arrival window refill, in execution order:
@@ -359,7 +331,7 @@ pub struct ClusterSim {
     /// Per-phase wall/event counters ([`SimConfig::profile`]); a disabled
     /// profiler costs one branch per phase.
     pub(crate) profiler: PhaseProfiler,
-    /// The node plane: per-node GPU runtimes, busy tracking, occupancy.
+    /// The node plane: every GPU's runtime, busy tracking, occupancy.
     pub(crate) nodes: NodePlane,
     /// The network plane (flows + per-node model caches), when configured.
     pub(crate) net: Option<crate::netplane::NetState>,
@@ -641,48 +613,21 @@ impl ClusterSim {
     }
 
     /// Runs the simulation until `t_end`, using the configured
-    /// [`TimeModel`] and [`SimConfig::threads`].
+    /// [`TimeModel`].
     ///
     /// Both models stop at the same instant (the first quantum boundary at
     /// or after `t_end`) and may be called repeatedly to continue a run.
-    /// With `threads > 1` a scoped worker pool lives for the duration of
-    /// the call; results are byte-identical to the serial run.
     pub fn run_until(&mut self, t_end: SimTime) {
         // First entry after a streaming deployment: pull the initial
         // window chunks. Deferred from deploy time to here so hooks
         // registered between deploy and run (the record side of
         // `dilu-replay`) observe the very first chunk.
         self.prime_arrival_windows();
-        // Workers are only worth spawning when the plane can ever hand
-        // them a share (see `nodes::MIN_NODES_PER_SHARE`): a small cluster
-        // always steps inline, so give it no idle threads to park.
-        let max_shares = self.nodes.node_count() / crate::nodes::MIN_NODES_PER_SHARE;
-        let workers = (self.config.threads.max(1) as usize).min(max_shares).saturating_sub(1);
-        if workers == 0 {
-            self.run_until_with(t_end, None);
-            return;
-        }
-        let shared = PoolShared::new(workers);
-        std::thread::scope(|scope| {
-            // The guard precedes the spawns: if a spawn (or anything after
-            // it) panics, its drop still releases every parked worker so
-            // the scope's implicit join cannot deadlock.
-            let _guard = crate::nodes::PoolGuard(&shared);
-            for index in 0..workers {
-                let shared = &shared;
-                scope.spawn(move || crate::nodes::worker_loop(shared, index));
-            }
-            let pool = StepPool::new(&shared);
-            self.run_until_with(t_end, Some(&pool));
-        });
-    }
-
-    fn run_until_with(&mut self, t_end: SimTime, pool: Option<&StepPool<'_>>) {
         match self.config.time_model {
-            TimeModel::EventDriven => self.run_until_events(t_end, pool),
+            TimeModel::EventDriven => self.run_until_events(t_end),
             TimeModel::DenseQuantum => {
                 while self.now < t_end {
-                    self.step_quantum(pool);
+                    self.step_quantum();
                 }
             }
         }
@@ -708,7 +653,7 @@ impl ClusterSim {
     /// The wake-on-work driver: pops grid-instant wakes off the event
     /// queue and executes the dense stepper's phase order at each, so a
     /// quantum with no event is provably a no-op and is never visited.
-    fn run_until_events(&mut self, t_end: SimTime, pool: Option<&StepPool<'_>>) {
+    fn run_until_events(&mut self, t_end: SimTime) {
         if self.now >= t_end {
             return;
         }
@@ -728,7 +673,7 @@ impl ClusterSim {
             if t >= t_end {
                 break;
             }
-            self.process_wake(t, pool);
+            self.process_wake(t);
         }
         self.event_active = false;
         // Land exactly where the dense stepper stops: the first quantum
@@ -940,7 +885,7 @@ impl ClusterSim {
     /// Executes one wake: drains every event due at `t`, then runs the
     /// dense stepper's phases in canonical order, each gated on whether an
     /// event asked for it.
-    fn process_wake(&mut self, t: SimTime, pool: Option<&StepPool<'_>>) {
+    fn process_wake(&mut self, t: SimTime) {
         debug_assert!(t >= self.now, "wakes are monotone");
         self.now = t;
         self.gpu_phase_done = false;
@@ -1025,7 +970,7 @@ impl ClusterSim {
         self.profiler.record(SimPhase::Dispatch, pt, self.next_batch - before);
         if self.nodes.has_busy() {
             let pt = self.profiler.start();
-            let completions = self.step_gpu_phase(JobKind::BusyOnly, pool);
+            let completions = self.step_gpu_phase(true);
             self.profiler.record(SimPhase::Step, pt, completions);
         }
         self.gpu_phase_done = true;
@@ -1059,7 +1004,7 @@ impl ClusterSim {
 
     /// One dense quantum: the canonical phase order the event core
     /// reproduces wake by wake.
-    fn step_quantum(&mut self, pool: Option<&StepPool<'_>>) {
+    fn step_quantum(&mut self) {
         self.profiler.count_wake();
         let pt = self.profiler.start();
         let before = self.pending_resizes.len();
@@ -1086,7 +1031,7 @@ impl ClusterSim {
         self.dispatch_batches();
         self.profiler.record(SimPhase::Dispatch, pt, self.next_batch - before);
         let pt = self.profiler.start();
-        let completions = self.step_gpu_phase(JobKind::AllSlots, pool);
+        let completions = self.step_gpu_phase(false);
         self.profiler.record(SimPhase::Step, pt, completions);
         let pt = self.profiler.start();
         let before = self.draining_count;
@@ -1103,17 +1048,16 @@ impl ClusterSim {
         self.now += self.config.quantum;
     }
 
-    /// The GPU phase: the node plane steps its runtimes (serially or over
-    /// the pool) and merges completions/blocks in fixed node order; the
-    /// control plane then attributes blocks and handles completions — all
-    /// on the simulation thread, in the merged (deterministic) order.
-    /// Returns the number of batch completions handled.
-    fn step_gpu_phase(&mut self, kind: JobKind, pool: Option<&StepPool<'_>>) -> u64 {
+    /// The GPU phase: the node plane steps the busy GPUs (`busy_only`, the
+    /// event core) or all of them (the dense stepper) in node-major order;
+    /// the control plane then attributes blocks and handles completions in
+    /// that order. Returns the number of batch completions handled.
+    fn step_gpu_phase(&mut self, busy_only: bool) -> u64 {
         let mut completions = std::mem::take(&mut self.completion_buf);
         let mut issued = std::mem::take(&mut self.issued_buf);
         completions.clear();
         issued.clear();
-        self.nodes.step(kind, self.now, self.config.quantum, pool, &mut completions, &mut issued);
+        self.nodes.step(busy_only, self.now, self.config.quantum, &mut completions, &mut issued);
         self.attribute_blocks(&issued);
         self.gpu_phase_done = true;
         let handled = completions.len() as u64;

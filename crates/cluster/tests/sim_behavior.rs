@@ -437,6 +437,49 @@ fn duplicate_deployment_is_rejected() {
     assert_eq!(err, DeployError::DuplicateFunction(FunctionId(1)));
 }
 
+/// BROKEN: answers every request with the same addresses, whatever the
+/// function needs and whatever the grid looks like.
+struct FixedPlacement(Vec<GpuAddr>);
+
+impl Placement for FixedPlacement {
+    fn place(&mut self, _func: &FunctionSpec, _cluster: &ClusterView) -> Option<Vec<GpuAddr>> {
+        Some(self.0.clone())
+    }
+
+    fn name(&self) -> &str {
+        "fixed"
+    }
+}
+
+/// Deploys one prewarmed instance of `spec` on a 2 × 2 grid.
+fn deploy_placed_by(placement: FixedPlacement, spec: FunctionSpec) {
+    let mut sim = ClusterSim::new(
+        ClusterSpec { nodes: 2, gpus_per_node: 2, ..ClusterSpec::paper_testbed() },
+        SimConfig::default(),
+        Box::new(placement),
+        Box::new(NullScaler),
+        &fair_factory(),
+    );
+    let _ = sim.deploy_inference(spec, 1, Vec::new());
+}
+
+#[test]
+#[should_panic(expected = "placement `fixed` returned [GpuAddr { node: 0, gpu: 2 }]")]
+fn off_grid_placement_panics() {
+    // GPU 2 of node 0 does not exist; in the dense GPU array it would be
+    // node 1's GPU 0.
+    let off_grid = FixedPlacement(vec![GpuAddr { node: 0, gpu: 2 }]);
+    deploy_placed_by(off_grid, inference_spec(1, ModelId::BertBase, 4));
+}
+
+#[test]
+#[should_panic(expected = "placement `fixed` returned [GpuAddr { node: 1, gpu: 0 }]")]
+fn placement_with_too_few_gpus_panics() {
+    let mut spec = inference_spec(1, ModelId::BertBase, 4);
+    spec.gpus_per_instance = 2;
+    deploy_placed_by(FixedPlacement(vec![GpuAddr { node: 1, gpu: 0 }]), spec);
+}
+
 #[test]
 fn report_contains_fragmentation_and_occupancy_series() {
     let mut sim = ClusterSim::new(

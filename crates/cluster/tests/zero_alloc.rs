@@ -90,12 +90,6 @@ fn fair_factory() -> impl PolicyFactory {
     named("fair-share", || Box::new(FairSharePolicy))
 }
 
-/// Serial event core: the allocation claim is about the hot loop itself,
-/// not the worker pool (which is measured by the macro bench instead).
-fn serial_config() -> SimConfig {
-    SimConfig { threads: 1, ..SimConfig::default() }
-}
-
 #[test]
 fn warm_event_core_wakes_are_allocation_free() {
     // --- training lane: continuous GPU work, no arrivals, no latency
@@ -103,7 +97,7 @@ fn warm_event_core_wakes_are_allocation_free() {
     // metric series, a handful of vector doublings over ten seconds.
     let mut sim = ClusterSim::new(
         ClusterSpec::single_node(2),
-        serial_config(),
+        SimConfig::default(),
         Box::new(FirstFit),
         Box::new(NullScaler),
         &fair_factory(),
@@ -139,7 +133,7 @@ fn warm_event_core_wakes_are_allocation_free() {
     // ticks, not with the ~14,000 wakes in the window.
     let mut sim = ClusterSim::new(
         ClusterSpec::single_node(2),
-        serial_config(),
+        SimConfig::default(),
         Box::new(FirstFit),
         Box::new(NullScaler),
         &fair_factory(),

@@ -17,7 +17,6 @@
 //! [sim]                        # optional serving-plane tunables
 //! quantum_ms = 5.0
 //! resize_latency_ms = 1.0
-//! threads = 4                  # node-plane step parallelism (same results)
 //!
 //! [run]
 //! horizon_secs = 30
@@ -156,9 +155,8 @@ pub struct SimSection {
     /// Time model: `"event-driven"` (default) or `"dense-quantum"` (the
     /// legacy stepper, kept as the executable specification).
     pub time_model: Option<String>,
-    /// Threads stepping the node plane (≥ 1). Defaults to the
-    /// `DILU_THREADS` environment variable, else 1. Reports are
-    /// byte-identical at every setting; this knob trades wall clock only.
+    /// Accepted for existing scenario files, but `1` is its only legal
+    /// value: a run steps its GPUs on one thread.
     pub threads: Option<u32>,
     /// Enables the per-phase wall-clock profiler (`dilu run --profile`).
     /// Observational only: reports are byte-identical either way.
@@ -180,8 +178,8 @@ impl SimSection {
     /// # Errors
     ///
     /// [`ScenarioError::Config`] for non-finite or negative values, a zero
-    /// quantum, a `batch_timeout_frac` outside `[0, 1]`, or a tick shorter
-    /// than the quantum.
+    /// quantum, a `batch_timeout_frac` outside `[0, 1]`, a tick shorter
+    /// than the quantum, or `threads` other than 1.
     pub fn to_config(&self) -> Result<SimConfig, ScenarioError> {
         fn duration(
             key: &str,
@@ -212,13 +210,11 @@ impl SimSection {
                 "[sim] `batch_timeout_frac` must be in [0, 1], got {frac}"
             )));
         }
-        let threads = match self.threads {
-            None => d.threads,
-            Some(0) => {
-                return Err(ScenarioError::Config("[sim] `threads` must be at least 1".to_owned()));
-            }
-            Some(t) => t,
-        };
+        if let Some(threads) = self.threads.filter(|&t| t != 1) {
+            return Err(ScenarioError::Config(format!(
+                "[sim] `threads` must be 1, got {threads}: a run steps its GPUs on one thread"
+            )));
+        }
         let time_model = match self.time_model.as_deref() {
             None => d.time_model,
             Some("event-driven") => dilu_cluster::TimeModel::EventDriven,
@@ -252,7 +248,6 @@ impl SimSection {
                 true,
             )?,
             time_model,
-            threads,
             network: d.network,
             profile: self.profile.unwrap_or(d.profile),
             arrival_window: self.arrival_window.unwrap_or(d.arrival_window),

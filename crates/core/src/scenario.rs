@@ -210,21 +210,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the node-plane step parallelism (`[sim] threads`), keeping the
-    /// rest of the sim config. Reports are byte-identical at every
-    /// setting, so this trades wall clock only. Zero is rejected at
-    /// [`build`](Self::build), exactly as the TOML and CLI front doors
-    /// reject it.
-    pub fn threads(mut self, threads: u32) -> Self {
-        if threads == 0 {
-            self.misuse
-                .get_or_insert(ScenarioError::Config("`threads` must be at least 1".to_owned()));
-        } else {
-            self.sim.threads = threads;
-        }
-        self
-    }
-
     /// Attaches a shared-bandwidth network plane (`[network]`): cold
     /// starts become registry weight-fetch flows (storms contend, node
     /// caches absorb repeats) and pipeline stage handoffs become

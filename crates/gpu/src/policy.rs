@@ -85,15 +85,7 @@ pub struct Grant {
 /// (e.g. "release quota after 10 s idle" counted in cycles) should track
 /// time via `now` in [`allocate`](Self::allocate), or be run under the
 /// dense time model.
-///
-/// # `Send`
-///
-/// Policies are `Send`: the cluster's node plane may step the GPUs of
-/// different nodes on different worker threads (`[sim] threads`). A policy
-/// instance is only ever *used* by one thread at a time — it rides along
-/// with its GPU when a node is handed to a worker — so no `Sync` bound is
-/// needed, and interior state needs no locking.
-pub trait SharePolicy: Send {
+pub trait SharePolicy {
     /// Computes grants for the quantum starting at `now`.
     ///
     /// Instances absent from the returned vector receive a zero grant.

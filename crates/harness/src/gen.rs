@@ -6,11 +6,10 @@
 //! printed seed a complete reproducer. Sampled dimensions: fleet shape,
 //! placement (with occasional Ω/Γ overrides), elasticity controller
 //! (2D co-scaler and every horizontal autoscaler), share policy, `[sim]`
-//! knobs (quantum, tick, resize latency, time model, node-plane step
-//! threads, streaming arrival-window caps), horizon, and one to three
-//! functions mixing inference (Poisson / Gamma / trace / replay / synth /
-//! trace-file arrivals, varied batch and initial instances) and training
-//! workloads.
+//! knobs (quantum, tick, resize latency, time model, streaming
+//! arrival-window caps), horizon, and one to three functions mixing
+//! inference (Poisson / Gamma / trace / replay / synth / trace-file
+//! arrivals, varied batch and initial instances) and training workloads.
 //!
 //! The generator constructs *valid* configs by construction — composition
 //! constraints (tick ≥ quantum, `gpus_per_instance` ≤ fleet, arrival
@@ -41,10 +40,6 @@ pub struct SpaceConfig {
     pub share_policies: Vec<String>,
     /// `[sim] time_model` values to sample.
     pub time_models: Vec<String>,
-    /// `[sim] threads` values to sample (node-plane step parallelism).
-    /// Values above 1 turn the differential oracle into a three-way
-    /// serial / parallel / dense sweep for free.
-    pub threads: Vec<u32>,
     /// Maximum worker nodes.
     pub max_nodes: u32,
     /// Maximum GPUs per node.
@@ -82,11 +77,6 @@ impl Default for SpaceConfig {
                 .into_iter()
                 .map(String::from)
                 .collect(),
-            threads: vec![1, 2, 4],
-            // Up to 6 worker nodes: enough for the node plane's fan-out
-            // threshold, so `threads > 1` cases genuinely step on pool
-            // workers (the serial-vs-parallel differential leg would
-            // otherwise compare two inline executions).
             max_nodes: 6,
             max_gpus_per_node: 4,
             max_functions: 3,
@@ -128,10 +118,7 @@ pub fn generate_case(space: &SpaceConfig, case_seed: u64) -> ScenarioConfig {
     let controller = ComponentSection::named(controller_name);
     let share_policy = ComponentSection::named(pick(&mut rng, &space.share_policies).clone());
 
-    // `[sim]` knobs on half the cases; the rest run the defaults. The
-    // threads dimension is sampled independently so parallel stepping is
-    // exercised with default knobs too.
-    let threads = *pick(&mut rng, &space.threads);
+    // `[sim]` knobs on half the cases; the rest run the defaults.
     let sim = if rng.gen_range(0..2) == 0 {
         Some(SimSection {
             quantum_ms: Some(*pick(&mut rng, &[2.5, 5.0])),
@@ -141,7 +128,7 @@ pub fn generate_case(space: &SpaceConfig, case_seed: u64) -> ScenarioConfig {
             stage_transfer_ms: None,
             resize_latency_ms: Some(*pick(&mut rng, &[0.0, 1.0, 20.0])),
             time_model: Some(pick(&mut rng, &space.time_models).clone()),
-            threads: Some(threads),
+            threads: None,
             profile: None,
             // Tiny windows force chunk boundaries inside almost every
             // quantum; 0 is the materialize-everything comparison path.
@@ -150,8 +137,6 @@ pub fn generate_case(space: &SpaceConfig, case_seed: u64) -> ScenarioConfig {
             arrival_window: Some(*pick(&mut rng, &[0, 1, 3, 64])),
             function_series: None,
         })
-    } else if threads != 1 {
-        Some(SimSection { threads: Some(threads), ..SimSection::default() })
     } else {
         None
     };
@@ -412,7 +397,6 @@ mod tests {
         let mut controllers = std::collections::BTreeSet::new();
         let mut policies = std::collections::BTreeSet::new();
         let mut processes = std::collections::BTreeSet::new();
-        let mut threads = std::collections::BTreeSet::new();
         let mut saw_training = false;
         let mut saw_sim = false;
         for seed in 0..200 {
@@ -421,7 +405,6 @@ mod tests {
             controllers.insert(c.system.controller.as_ref().unwrap().name.clone());
             policies.insert(c.system.share_policy.as_ref().unwrap().name.clone());
             saw_sim |= c.sim.is_some();
-            threads.insert(c.sim.as_ref().and_then(|s| s.threads).unwrap_or(1));
             for f in &c.functions {
                 if f.role.as_deref() == Some("training") {
                     saw_training = true;
@@ -434,11 +417,6 @@ mod tests {
         assert_eq!(controllers.len(), space.controllers.len(), "{controllers:?}");
         assert_eq!(policies.len(), space.share_policies.len(), "{policies:?}");
         assert_eq!(processes.len(), 6, "{processes:?}");
-        assert_eq!(
-            threads,
-            space.threads.iter().copied().collect::<std::collections::BTreeSet<_>>(),
-            "every sampled threads value must be reachable"
-        );
         assert!(saw_training && saw_sim);
     }
 }

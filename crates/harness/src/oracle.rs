@@ -143,10 +143,7 @@ fn judge_pair(
 
 /// Differential oracle: the event-driven core must reproduce the
 /// dense-quantum reference byte-for-byte — every latency sample, timeline
-/// point, and counter — on any composable scenario. When the case samples
-/// `[sim] threads > 1`, both runs already exercise the parallel node
-/// plane, and a third serial (`threads = 1`) event run is compared
-/// against the parallel one — sweeping serial vs parallel vs dense.
+/// point, and counter — on any composable scenario.
 pub struct DifferentialOracle;
 
 impl Oracle for DifferentialOracle {
@@ -157,19 +154,7 @@ impl Oracle for DifferentialOracle {
     fn check(&self, config: &ScenarioConfig, registry: &Registry) -> Verdict {
         let dense = run_json(&with_time_model(config, "dense-quantum"), registry);
         let event = run_json(&with_time_model(config, "event-driven"), registry);
-        let threads = config.sim.as_ref().and_then(|s| s.threads).unwrap_or(1);
-        let verdict = judge_pair(dense, event.clone(), "dense-quantum", "event-driven");
-        if !matches!(verdict, Verdict::Pass) || threads <= 1 {
-            return verdict;
-        }
-        let mut serial = with_time_model(config, "event-driven");
-        serial.sim.get_or_insert_with(Default::default).threads = Some(1);
-        judge_pair(
-            run_json(&serial, registry),
-            event,
-            "event-driven(threads=1)",
-            &format!("event-driven(threads={threads})"),
-        )
+        judge_pair(dense, event, "dense-quantum", "event-driven")
     }
 }
 

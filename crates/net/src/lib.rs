@@ -21,7 +21,7 @@
 //! byte counts: the plane is deterministic by construction, and both
 //! cluster time models (dense-quantum and event-driven) drive it through
 //! the same [`NetPlane::take_due`] entry point at quantum-grid instants,
-//! so reports stay byte-identical across time models and thread counts.
+//! so reports stay byte-identical across time models.
 //!
 //! # Examples
 //!

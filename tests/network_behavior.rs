@@ -1,7 +1,6 @@
 //! Behavioural pins for the network/topology plane (`dilu-net`): cold-start
 //! storms contend on the shared registry link, per-node model caches skip
-//! the fetch, and networked runs stay byte-identical across time models and
-//! thread counts.
+//! the fetch, and networked runs stay byte-identical across time models.
 
 use dilu::cluster::{
     ClusterSpec, ClusterView, ElasticityController, FunctionScaleView, ScaleAction, SimConfig,
@@ -141,7 +140,7 @@ fn cache_hit_skips_the_fetch_and_pays_only_provision() {
 
 /// A networked mixed workload (fetch storms + a pipelined LLM paying
 /// activation transfers), rendered to report JSON.
-fn networked_report_json(time_model: TimeModel, threads: u32) -> String {
+fn networked_report_json(time_model: TimeModel) -> String {
     let sim = SimConfig { time_model, ..SimConfig::default() };
     let burst: Vec<SimTime> = std::iter::repeat_n(SimTime::from_secs(1), 12)
         .chain(std::iter::repeat_n(SimTime::from_secs(15), 12))
@@ -150,7 +149,6 @@ fn networked_report_json(time_model: TimeModel, threads: u32) -> String {
         .builder()
         .cluster(ClusterSpec { nodes: 2, gpus_per_node: 4, ..ClusterSpec::single_node(4) })
         .sim_config(sim)
-        .threads(threads)
         .network(NetworkConfig { cache_gb: 4.0, ..NetworkConfig::default() })
         .seed(11)
         .horizon(SimDuration::from_secs(30))
@@ -167,20 +165,9 @@ fn networked_report_json(time_model: TimeModel, threads: u32) -> String {
 }
 
 #[test]
-fn networked_reports_are_byte_identical_across_time_models_and_threads() {
-    let reference = networked_report_json(TimeModel::EventDriven, 1);
+fn networked_reports_are_byte_identical_across_time_models() {
+    let reference = networked_report_json(TimeModel::EventDriven);
     assert!(reference.contains("cold_starts"), "sanity: report JSON has content");
-    for (time_model, threads) in [
-        (TimeModel::EventDriven, 2),
-        (TimeModel::EventDriven, 8),
-        (TimeModel::DenseQuantum, 1),
-        (TimeModel::DenseQuantum, 2),
-        (TimeModel::DenseQuantum, 8),
-    ] {
-        let got = networked_report_json(time_model, threads);
-        assert_eq!(
-            got, reference,
-            "networked report diverges under {time_model:?} with {threads} threads"
-        );
-    }
+    let dense = networked_report_json(TimeModel::DenseQuantum);
+    assert_eq!(dense, reference, "networked report diverges under the dense time model");
 }

@@ -1,9 +1,9 @@
-//! Parallel node-plane stepping is a pure wall-clock optimisation: the
-//! scaling-lifecycle scenario (cold-start scale-outs, scale-ins,
-//! scale-to-zero, vertical resizes, a late training job) must produce a
-//! byte-identical `ClusterReport` — and an identical audit stream, one
-//! snapshot per controller tick — at `[sim] threads` = 1, 2, and 8, on
-//! both time models.
+//! The node plane steps GPUs in one fixed node-major order on both time
+//! models: the scaling-lifecycle scenario (cold-start scale-outs,
+//! scale-ins, scale-to-zero, vertical resizes, a late training job) on
+//! twelve single-GPU nodes must produce a byte-identical `ClusterReport`
+//! and an identical audit stream, one snapshot per controller tick, under
+//! the event core (busy GPUs only) and the dense stepper (every GPU).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,19 +19,18 @@ const HORIZON_SECS: u64 = 60;
 const DRAIN_SECS: u64 = 3;
 
 /// Runs the 60 s scaling-lifecycle scenario (the cluster shape from
-/// `tests/properties.rs` spread over twelve single-GPU worker nodes, so
-/// the step pool genuinely fans out — one node per GPU puts every busy
-/// GPU on its own node, and the dense model always steps all twelve) at
-/// the given thread count, collecting the audit stream and the final
+/// `tests/properties.rs` spread over twelve single-GPU worker nodes: one
+/// node per GPU puts every busy GPU on its own node, and the dense model
+/// always steps all twelve), collecting the audit stream and the final
 /// report JSON.
-fn run_lifecycle(time_model: TimeModel, threads: u32) -> (Vec<String>, String) {
+fn run_lifecycle(time_model: TimeModel) -> (Vec<String>, String) {
     let horizon = SimDuration::from_secs(HORIZON_SECS);
     let mut spec = funcs::inference_function(1, ModelId::RobertaLarge);
     if let FunctionKind::Inference { slo, .. } = spec.kind {
         spec.kind = FunctionKind::Inference { slo, batch: 4 };
     }
     // A second hot function keeps several single-GPU nodes busy at once,
-    // so event-driven wakes cross the node plane's fan-out threshold (the
+    // so event-driven wakes step a busy set spread across nodes (the
     // dense model steps all twelve nodes every quantum regardless). The
     // inflated 5 GB reservations on 6 GB cards defeat the packer: at most
     // one inference instance fits per node, so every replica lands on —
@@ -42,7 +41,7 @@ fn run_lifecycle(time_model: TimeModel, threads: u32) -> (Vec<String>, String) {
     let scenario = SystemKind::Dilu
         .builder()
         .cluster(ClusterSpec { nodes: 12, gpus_per_node: 1, gpu_mem_bytes: 6 * GB })
-        .sim_config(SimConfig { time_model, threads, ..SimConfig::default() })
+        .sim_config(SimConfig { time_model, ..SimConfig::default() })
         .horizon(horizon)
         .drain(SimDuration::from_secs(DRAIN_SECS))
         .function(spec)
@@ -69,35 +68,21 @@ fn run_lifecycle(time_model: TimeModel, threads: u32) -> (Vec<String>, String) {
 }
 
 #[test]
-fn audit_stream_and_report_are_identical_across_thread_counts() {
-    let (serial_ticks, serial_report) = run_lifecycle(TimeModel::EventDriven, 1);
+fn audit_stream_and_report_are_identical_across_time_models() {
+    let (ticks, report) = run_lifecycle(TimeModel::EventDriven);
     // One snapshot per controller tick: the 1 Hz tick fires every
     // simulated second through the 63 s run (horizon + drain).
     assert_eq!(
-        serial_ticks.len() as u64,
+        ticks.len() as u64,
         HORIZON_SECS + DRAIN_SECS,
         "audit hook must fire exactly once per controller tick"
     );
-    let f = &serial_ticks.last().expect("ticks recorded");
+    let f = &ticks.last().expect("ticks recorded");
     assert!(f.contains("cold_starts"), "snapshots carry function accounting: {f}");
-    for threads in [2, 8] {
-        let (ticks, report) = run_lifecycle(TimeModel::EventDriven, threads);
-        assert_eq!(ticks.len(), serial_ticks.len(), "tick cadence changed at threads={threads}");
-        for (i, (a, b)) in serial_ticks.iter().zip(&ticks).enumerate() {
-            assert_eq!(a, b, "audit snapshot {i} diverged at threads={threads}");
-        }
-        assert_eq!(report, serial_report, "report diverged at threads={threads}");
+    let (dense_ticks, dense_report) = run_lifecycle(TimeModel::DenseQuantum);
+    assert_eq!(dense_ticks.len(), ticks.len(), "tick cadence differs between time models");
+    for (i, (a, b)) in ticks.iter().zip(&dense_ticks).enumerate() {
+        assert_eq!(a, b, "audit snapshot {i} diverged under the dense stepper");
     }
-}
-
-#[test]
-fn parallel_dense_stepper_matches_serial() {
-    let (serial_ticks, serial_report) = run_lifecycle(TimeModel::DenseQuantum, 1);
-    let (ticks, report) = run_lifecycle(TimeModel::DenseQuantum, 4);
-    assert_eq!(ticks, serial_ticks, "dense audit stream diverged at threads=4");
-    assert_eq!(report, serial_report, "dense report diverged at threads=4");
-    // And the dense reference agrees with the parallel event core, closing
-    // the serial/parallel/dense triangle on the lifecycle scenario.
-    let (_, event_report) = run_lifecycle(TimeModel::EventDriven, 4);
-    assert_eq!(event_report, serial_report, "parallel event core diverged from dense");
+    assert_eq!(dense_report, report, "dense report diverged from the event core");
 }

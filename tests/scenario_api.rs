@@ -33,14 +33,6 @@ fn missing_components_are_typed_errors() {
 }
 
 #[test]
-fn zero_threads_is_builder_misuse() {
-    // The builder rejects `threads(0)` at build, exactly as the TOML
-    // (`[sim] threads = 0`) and CLI (`--threads 0`) front doors do.
-    let err = SystemKind::Dilu.builder().threads(0).build_sim();
-    assert!(matches!(&err, Err(ScenarioError::Config(msg)) if msg.contains("threads")), "{err:?}");
-}
-
-#[test]
 fn workload_misuse_is_recorded_and_reported() {
     // arrivals() before any function().
     let err = SystemKind::Dilu.builder().arrivals(PoissonProcess::new(5.0, 1)).build();
@@ -187,6 +179,28 @@ fn config_errors_name_the_offender() {
         .map(|_| ())
         .map_err(|e| e.to_string());
     assert!(err.as_ref().is_err_and(|e| e.contains("keepalive_secs")), "{err:?}");
+}
+
+#[test]
+fn config_threads_must_be_one() {
+    // Existing scenario files may still say `[sim] threads = 1`, but a run
+    // steps its GPUs on one thread, so no other value is legal.
+    let registry = Registry::with_defaults();
+    let with_threads = |n: u32| {
+        ScenarioConfig::from_toml_str(&format!("{SCENARIO}\n[sim]\nthreads = {n}\n"))
+            .unwrap()
+            .into_builder(&registry)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    };
+    assert_eq!(with_threads(1), Ok(()));
+    for n in [0, 2, 8] {
+        let err = with_threads(n);
+        assert!(
+            err.as_ref().is_err_and(|e| e.contains(&format!("`threads` must be 1, got {n}"))),
+            "{err:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
