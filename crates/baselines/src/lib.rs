@@ -12,7 +12,8 @@
 //!   plus temporal lending of idle quotas, with the CUDA-event bookkeeping
 //!   overhead the paper observes.
 //!
-//! Cluster-level autoscalers:
+//! Cluster-level horizontal-only elasticity controllers
+//! ([`dilu_cluster::ElasticityController`]s that ignore the cluster view):
 //!
 //! * [`ReactiveScaler`] — FaST-GS+-style eager scale-out/in on instantaneous
 //!   load.

@@ -1,9 +1,9 @@
-//! Baseline horizontal autoscalers: eager (FaST-GS+) and keep-alive
-//! (INFless+).
+//! Baseline horizontal-only elasticity controllers: eager (FaST-GS+) and
+//! keep-alive (INFless+). Both ignore the cluster view.
 
 use std::collections::BTreeMap;
 
-use dilu_cluster::{Autoscaler, FunctionId, FunctionScaleView, ScaleAction};
+use dilu_cluster::{ClusterView, ElasticityController, FunctionId, FunctionScaleView, ScaleAction};
 use dilu_sim::{SimDuration, SimTime};
 
 /// FaST-GS+-style eager reactive scaling.
@@ -32,8 +32,13 @@ impl Default for ReactiveScaler {
     }
 }
 
-impl Autoscaler for ReactiveScaler {
-    fn on_tick(&mut self, _now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for ReactiveScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         let mut actions = Vec::new();
         for f in functions {
             if !f.kind.is_inference() {
@@ -103,8 +108,13 @@ impl Default for KeepAliveScaler {
     }
 }
 
-impl Autoscaler for KeepAliveScaler {
-    fn on_tick(&mut self, _now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for KeepAliveScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         let mut actions = Vec::new();
         for f in functions {
             if !f.kind.is_inference() {
@@ -150,7 +160,9 @@ mod tests {
     use super::*;
     use dilu_cluster::FunctionKind;
 
-    fn view(window: Vec<u64>, ready: u32, starting: u32, idle_secs: u64) -> FunctionScaleView {
+    const NO_CLUSTER: ClusterView = ClusterView { gpus: Vec::new() };
+
+    fn view(window: &[u64], ready: u32, starting: u32, idle_secs: u64) -> FunctionScaleView<'_> {
         FunctionScaleView {
             func: FunctionId(1),
             kind: FunctionKind::Inference { slo: SimDuration::from_millis(100), batch: 4 },
@@ -170,7 +182,7 @@ mod tests {
         let mut s = ReactiveScaler::new();
         let mut w = vec![10u64; 39];
         w.push(160);
-        let actions = s.on_tick(SimTime::from_secs(40), &[view(w, 1, 0, 0)]);
+        let actions = s.on_tick(SimTime::from_secs(40), &[view(&w, 1, 0, 0)], &NO_CLUSTER);
         assert_eq!(actions, vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 3 }]);
     }
 
@@ -179,7 +191,11 @@ mod tests {
         let mut s = ReactiveScaler::new();
         let mut fired = Vec::new();
         for sec in 0..12 {
-            fired.extend(s.on_tick(SimTime::from_secs(sec), &[view(vec![5u64; 40], 3, 0, sec)]));
+            fired.extend(s.on_tick(
+                SimTime::from_secs(sec),
+                &[view(&[5u64; 40], 3, 0, sec)],
+                &NO_CLUSTER,
+            ));
         }
         assert!(
             fired.contains(&ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }),
@@ -193,7 +209,7 @@ mod tests {
         let mut w = vec![10u64; 39];
         w.push(160);
         // Mean over 5 s = 40 rps → within one instance's capacity.
-        let actions = s.on_tick(SimTime::from_secs(40), &[view(w, 1, 0, 0)]);
+        let actions = s.on_tick(SimTime::from_secs(40), &[view(&w, 1, 0, 0)], &NO_CLUSTER);
         assert!(actions.is_empty());
     }
 
@@ -201,7 +217,7 @@ mod tests {
     fn keepalive_scales_out_on_sustained_load() {
         let mut s = KeepAliveScaler::default();
         let w = vec![120u64; 40];
-        let actions = s.on_tick(SimTime::from_secs(40), &[view(w, 1, 0, 0)]);
+        let actions = s.on_tick(SimTime::from_secs(40), &[view(&w, 1, 0, 0)], &NO_CLUSTER);
         assert_eq!(actions, vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 2 }]);
     }
 
@@ -209,10 +225,12 @@ mod tests {
     fn keepalive_retains_idle_instances_until_expiry() {
         let mut s = KeepAliveScaler::default();
         // Idle 30 s < 50 s keep-alive → retained.
-        let actions = s.on_tick(SimTime::from_secs(60), &[view(vec![0u64; 40], 2, 0, 30)]);
+        let actions =
+            s.on_tick(SimTime::from_secs(60), &[view(&[0u64; 40], 2, 0, 30)], &NO_CLUSTER);
         assert!(actions.is_empty());
         // Idle 55 s ≥ keep-alive → reclaimed.
-        let actions = s.on_tick(SimTime::from_secs(90), &[view(vec![0u64; 40], 2, 0, 55)]);
+        let actions =
+            s.on_tick(SimTime::from_secs(90), &[view(&[0u64; 40], 2, 0, 55)], &NO_CLUSTER);
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
     }
 
@@ -220,9 +238,9 @@ mod tests {
     fn both_cold_start_from_zero_on_backlog() {
         let mut r = ReactiveScaler::new();
         let mut k = KeepAliveScaler::default();
-        let mut v = view(vec![0u64; 40], 0, 0, 0);
+        let mut v = view(&[0u64; 40], 0, 0, 0);
         v.backlog = 2;
-        assert_eq!(r.on_tick(SimTime::ZERO, &[v.clone()]).len(), 1);
-        assert_eq!(k.on_tick(SimTime::ZERO, &[v]).len(), 1);
+        assert_eq!(r.on_tick(SimTime::ZERO, &[v.clone()], &NO_CLUSTER).len(), 1);
+        assert_eq!(k.on_tick(SimTime::ZERO, &[v], &NO_CLUSTER).len(), 1);
     }
 }

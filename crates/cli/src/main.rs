@@ -181,10 +181,10 @@ fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> R
 
     println!("== scenario: {name} ==");
     println!(
-        "cluster: {} GPUs | placement: {} | autoscaler: {} | share policy: {}",
+        "cluster: {} GPUs | placement: {} | controller: {} | share policy: {}",
         scenario.sim().spec().total_gpus(),
         scenario.sim().placement_name(),
-        scenario.sim().autoscaler_name(),
+        scenario.sim().controller_name(),
         scenario.sim().share_policy_name(),
     );
     let horizon = scenario.horizon();
@@ -739,8 +739,7 @@ fn cmd_list() -> Result<(), String> {
         println!("  {:12} {}", kind.name(), kind.label());
     }
     println!("\nplacements:        {}", registry.placement_names().join(", "));
-    println!("autoscalers:       {}", registry.autoscaler_names().join(", "));
-    println!("controllers (2D):  {}", registry.controller_names().join(", "));
+    println!("controllers:       {}", registry.controller_names().join(", "));
     println!("share policies:    {}", registry.share_policy_names().join(", "));
     println!("arrival processes: {}", dilu_workload::PROCESS_NAMES.join(", "));
     println!("fuzz oracles:      {}", dilu_harness::Harness::new().oracle_names().join(", "));

@@ -83,18 +83,15 @@ arrivals = { process = "poisson", rate = 5.0 }
 }
 
 #[test]
-fn controller_and_autoscaler_conflict_is_actionable() {
+fn autoscaler_table_is_rejected_naming_controller() {
     let path = write_scenario(
-        "conflict.toml",
+        "autoscaler-table.toml",
         r#"
 [system]
 preset = "dilu"
 
 [system.autoscaler]
 name = "lazy"
-
-[system.controller]
-name = "co-scale"
 
 [[functions]]
 model = "bert-base"
@@ -103,9 +100,30 @@ arrivals = { process = "poisson", rate = 5.0 }
     );
     let stderr = expect_failure(&["run", path.to_str().unwrap()]);
     assert!(
-        stderr.contains("same slot") && stderr.contains("keep one"),
-        "the conflict message must say what to do: {stderr}"
+        stderr.contains("`autoscaler`") && stderr.contains("controller"),
+        "the message must point at the `controller` key: {stderr}"
     );
+}
+
+#[test]
+fn negative_keep_alive_is_a_config_error() {
+    let path = write_scenario(
+        "negative-keep-alive.toml",
+        r#"
+[system]
+preset = "dilu"
+
+[system.controller]
+name = "keep-alive"
+keep_alive_secs = -5.0
+
+[[functions]]
+model = "bert-base"
+arrivals = { process = "poisson", rate = 5.0 }
+"#,
+    );
+    let stderr = expect_failure(&["run", path.to_str().unwrap()]);
+    assert!(stderr.contains("keep_alive_secs") && stderr.contains("-5"), "{stderr}");
 }
 
 #[test]

@@ -305,10 +305,14 @@ impl ClusterSim {
         let now = self.now;
         let headroom = self.vertical_headroom(&cluster);
         let fetch_bytes = self.pending_fetch_bytes();
-        let mut views = Vec::new();
-        let instances = &self.instances;
-        for (id, f) in self.funcs.iter_mut() {
+        // Roll every window first: the views below borrow them for the
+        // controller call instead of copying their samples.
+        for f in self.funcs.values_mut() {
             f.window.roll_to(now);
+        }
+        let mut views = Vec::with_capacity(self.funcs.len());
+        let instances = &self.instances;
+        for (id, f) in &self.funcs {
             if !f.spec.kind.is_inference() {
                 continue;
             }
@@ -341,7 +345,7 @@ impl ClusterSim {
             views.push(FunctionScaleView {
                 func: *id,
                 kind: f.spec.kind,
-                rps_window: f.window.samples().to_vec(),
+                rps_window: f.window.samples(),
                 ready_instances: ready,
                 starting_instances: starting,
                 backlog,

@@ -44,7 +44,7 @@ use crate::instance::{Instance, Request};
 use crate::lifecycle::TrainingJob;
 use crate::nodes::NodePlane;
 use crate::report::{ClusterReport, FunctionReport, TimelinePoint, TrainingReport};
-use crate::traits::{Autoscaler, ClusterView, ElasticityController, Placement, PolicyFactory};
+use crate::traits::{ClusterView, ElasticityController, Placement, PolicyFactory};
 use crate::{ClusterSpec, FunctionId, FunctionKind, FunctionSpec, InstanceState, InstanceUid};
 
 /// How simulated time advances in [`ClusterSim::run_until`]: a
@@ -77,7 +77,7 @@ pub struct SimConfig {
     pub batch_timeout_cap: SimDuration,
     /// Extra per-stage cost modelling activation transfer in pipelines.
     pub stage_transfer: SimDuration,
-    /// Autoscaler tick and metrics sampling period.
+    /// Elasticity-controller tick and metrics sampling period.
     pub tick: SimDuration,
     /// Delay between a [`ScaleAction::ResizeQuota`] decision and the new
     /// quotas reaching the GPUs (the paper's millisecond-scale vertical
@@ -428,24 +428,9 @@ impl std::fmt::Debug for ClusterSim {
 }
 
 impl ClusterSim {
-    /// Creates a cluster driven by a horizontal-only [`Autoscaler`].
-    ///
-    /// Shorthand for [`with_controller`](Self::with_controller) through the
-    /// blanket [`ElasticityController`] adapter — every pre-2D composition
-    /// keeps working unchanged.
-    pub fn new(
-        spec: ClusterSpec,
-        config: SimConfig,
-        placement: Box<dyn Placement>,
-        autoscaler: Box<dyn Autoscaler>,
-        policy_factory: &dyn PolicyFactory,
-    ) -> Self {
-        Self::with_controller(spec, config, placement, Box::new(autoscaler), policy_factory)
-    }
-
-    /// Creates a cluster driven by a 2D [`ElasticityController`], which may
+    /// Creates a cluster driven by an [`ElasticityController`], which may
     /// resize quotas of running instances as well as scale instance counts.
-    pub fn with_controller(
+    pub fn new(
         spec: ClusterSpec,
         config: SimConfig,
         placement: Box<dyn Placement>,
@@ -532,12 +517,6 @@ impl ClusterSim {
     /// Report name of the placement policy.
     pub fn placement_name(&self) -> &str {
         self.placement.name()
-    }
-
-    /// Report name of the elasticity controller (historically the
-    /// autoscaler slot; kept for every report and test that names it).
-    pub fn autoscaler_name(&self) -> &str {
-        self.controller.name()
     }
 
     /// Report name of the elasticity controller.

@@ -1,4 +1,5 @@
-//! Extension points: placement, autoscaling, and share-policy factories.
+//! Extension points: placement, elasticity control, and share-policy
+//! factories.
 
 use dilu_gpu::{SharePolicy, SmRate, TaskClass};
 use dilu_sim::{SimDuration, SimTime};
@@ -131,14 +132,17 @@ impl QuotaView {
 }
 
 /// Per-function state handed to the elasticity controller every second.
+///
+/// Borrows the function's rate window from the simulator for the duration
+/// of one [`ElasticityController::on_tick`] call.
 #[derive(Debug, Clone)]
-pub struct FunctionScaleView {
+pub struct FunctionScaleView<'a> {
     /// The function.
     pub func: FunctionId,
     /// Its role.
     pub kind: FunctionKind,
     /// Closed per-second request counts, oldest first (up to the window cap).
-    pub rps_window: Vec<u64>,
+    pub rps_window: &'a [u64],
     /// Instances able to serve now.
     pub ready_instances: u32,
     /// Instances still cold-starting.
@@ -191,30 +195,6 @@ pub enum ScaleAction {
     },
 }
 
-/// Decides horizontal scaling each second (the baselines' reactive and
-/// keep-alive policies, and any controller blind to the vertical dimension).
-///
-/// Every `Autoscaler` is automatically an [`ElasticityController`] through a
-/// blanket adapter that ignores the cluster view, so horizontal-only
-/// policies keep composing unchanged.
-pub trait Autoscaler {
-    /// Inspects per-function state and returns scaling actions.
-    fn on_tick(&mut self, now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction>;
-
-    /// A short name for reports.
-    fn name(&self) -> &str;
-}
-
-impl Autoscaler for Box<dyn Autoscaler> {
-    fn on_tick(&mut self, now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
-        (**self).on_tick(now, functions)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 /// The 2D elasticity control plane: sees both scaling dimensions and may
 /// act on both.
 ///
@@ -222,37 +202,21 @@ impl Autoscaler for Box<dyn Autoscaler> {
 /// allocation state, so implementations can trade vertical quota growth of
 /// running instances (millisecond-scale, via [`ScaleAction::ResizeQuota`])
 /// against cold-start-bound horizontal scale-out — the paper's adaptive 2D
-/// co-scaling. Horizontal-only [`Autoscaler`]s participate through the
-/// blanket adapter (their actions simply never include resizes).
+/// co-scaling. Horizontal-only policies (the lazy scaler and the
+/// keep-alive and reactive baselines) implement it too: they ignore the
+/// cluster view and never return resizes.
 pub trait ElasticityController {
     /// Inspects per-function and cluster state and returns scaling actions
     /// in either dimension.
     fn on_tick(
         &mut self,
         now: SimTime,
-        functions: &[FunctionScaleView],
+        functions: &[FunctionScaleView<'_>],
         cluster: &ClusterView,
     ) -> Vec<ScaleAction>;
 
     /// A short name for reports.
     fn name(&self) -> &str;
-}
-
-/// Horizontal-only controllers: every [`Autoscaler`] is an
-/// [`ElasticityController`] that ignores the cluster view.
-impl<A: Autoscaler> ElasticityController for A {
-    fn on_tick(
-        &mut self,
-        now: SimTime,
-        functions: &[FunctionScaleView],
-        _cluster: &ClusterView,
-    ) -> Vec<ScaleAction> {
-        Autoscaler::on_tick(self, now, functions)
-    }
-
-    fn name(&self) -> &str {
-        Autoscaler::name(self)
-    }
 }
 
 /// Builds one [`SharePolicy`] per GPU.
@@ -363,32 +327,5 @@ mod tests {
         assert!((g.request_slack().as_percent() - 50.0).abs() < 1e-9);
         let over = view(&[70.0, 60.0], 8);
         assert_eq!(over.request_slack(), SmRate::ZERO);
-    }
-
-    struct Fixed(Vec<ScaleAction>);
-
-    impl Autoscaler for Fixed {
-        fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
-            self.0.clone()
-        }
-
-        fn name(&self) -> &str {
-            "fixed"
-        }
-    }
-
-    #[test]
-    fn autoscalers_adapt_to_elasticity_controllers() {
-        let actions = vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 2 }];
-        // Concrete autoscaler through the blanket adapter.
-        let mut direct: Box<dyn ElasticityController> = Box::new(Fixed(actions.clone()));
-        let cluster = ClusterView { gpus: Vec::new() };
-        assert_eq!(direct.on_tick(SimTime::ZERO, &[], &cluster), actions);
-        assert_eq!(direct.name(), "fixed");
-        // Boxed trait object (the registry path) adapts too.
-        let boxed: Box<dyn Autoscaler> = Box::new(Fixed(actions.clone()));
-        let mut adapted: Box<dyn ElasticityController> = Box::new(boxed);
-        assert_eq!(adapted.on_tick(SimTime::ZERO, &[], &cluster), actions);
-        assert_eq!(adapted.name(), "fixed");
     }
 }

@@ -18,7 +18,7 @@
 //! reproduce these numbers forever.
 
 use dilu_cluster::{
-    named, Autoscaler, ClusterSim, ClusterSpec, ClusterView, FunctionId, FunctionKind,
+    named, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId, FunctionKind,
     FunctionScaleView, FunctionSpec, GpuAddr, Placement, PolicyFactory, Quotas, ScaleAction,
     SimConfig, TimeModel,
 };
@@ -51,8 +51,13 @@ impl Placement for FirstFit {
 
 struct NullScaler;
 
-impl Autoscaler for NullScaler {
-    fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for NullScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         Vec::new()
     }
 

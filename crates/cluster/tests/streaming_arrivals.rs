@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilu_cluster::{
-    named, Autoscaler, ClusterReport, ClusterSim, ClusterSpec, ClusterView, FunctionId,
+    named, ClusterReport, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId,
     FunctionKind, FunctionScaleView, FunctionSpec, GpuAddr, Placement, Quotas, ScaleAction,
     SimConfig,
 };
@@ -45,8 +45,13 @@ impl Placement for FirstFit {
 
 struct NullScaler;
 
-impl Autoscaler for NullScaler {
-    fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for NullScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         Vec::new()
     }
 

@@ -12,9 +12,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use dilu_cluster::{
-    named, Autoscaler, ClusterSim, ClusterSpec, ClusterView, FunctionId, FunctionKind,
+    named, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId, FunctionKind,
     FunctionScaleView, FunctionSpec, GpuAddr, Placement, PolicyFactory, Quotas, ScaleAction,
     SimConfig,
 };
@@ -53,6 +54,9 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide, so measured windows must not overlap.
+static MEASURE: Mutex<()> = Mutex::new(());
+
 struct FirstFit;
 
 impl Placement for FirstFit {
@@ -76,8 +80,13 @@ impl Placement for FirstFit {
 
 struct NullScaler;
 
-impl Autoscaler for NullScaler {
-    fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for NullScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         Vec::new()
     }
 
@@ -92,6 +101,7 @@ fn fair_factory() -> impl PolicyFactory {
 
 #[test]
 fn warm_event_core_wakes_are_allocation_free() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     // --- training lane: continuous GPU work, no arrivals, no latency
     // samples. After warm-up the only permitted growth is the sampled
     // metric series, a handful of vector doublings over ten seconds.
@@ -163,5 +173,56 @@ fn warm_event_core_wakes_are_allocation_free() {
         infer_window < 1_000,
         "steady-state inference window allocated {infer_window} times \
          (expected ~10 per controller tick plus occasional series doublings)"
+    );
+}
+
+/// Warm controller ticks measured per idle fleet.
+const IDLE_TICKS: u64 = 30;
+
+/// Allocations over [`IDLE_TICKS`] warm controller ticks of a fleet of
+/// `functions` idle inference functions: no instances, no arrivals and no
+/// per-function series, so a tick has no per-function work beyond
+/// building each function's scale view.
+fn idle_fleet_window_allocs(functions: u32) -> u64 {
+    let config = SimConfig { function_series: false, ..SimConfig::default() };
+    let mut sim = ClusterSim::new(
+        ClusterSpec::single_node(2),
+        config,
+        Box::new(FirstFit),
+        Box::new(NullScaler),
+        &fair_factory(),
+    );
+    let model = ModelId::BertBase;
+    let profile = model.profile();
+    let sat = profile.inference_sat(4);
+    for id in 1..=functions {
+        let spec = FunctionSpec {
+            id: FunctionId(id),
+            name: format!("idle-{id}"),
+            model,
+            kind: FunctionKind::Inference { slo: profile.slo, batch: 4 },
+            quotas: Quotas::new(sat, sat.scale(2.0), profile.infer_mem_bytes),
+            gpus_per_instance: 1,
+        };
+        sim.deploy_inference(spec, 0, Vec::new()).unwrap();
+    }
+    // The 40-sample rate windows are full after 40 ticks.
+    sim.run_until(SimTime::from_secs(45));
+    let before = allocs();
+    sim.run_until(SimTime::from_secs(45 + IDLE_TICKS));
+    allocs() - before
+}
+
+#[test]
+fn controller_ticks_allocate_independently_of_fleet_size() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let small = idle_fleet_window_allocs(10);
+    let large = idle_fleet_window_allocs(1_000);
+    // A per-function copy of each rate window would cost ~1,000
+    // allocations per tick here.
+    assert!(
+        large <= small + 2 * IDLE_TICKS,
+        "1,000 idle functions allocated {large} times over {IDLE_TICKS} ticks, \
+         10 idle functions {small}"
     );
 }

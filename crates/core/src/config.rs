@@ -9,10 +9,10 @@
 //! gpus_per_node = 4
 //!
 //! [system]
-//! preset = "dilu"              # or compose placement/autoscaler/share_policy
+//! preset = "dilu"              # or compose placement/controller/share_policy
 //!
-//! [system.controller]          # optional: a 2D elasticity controller
-//! name = "co-scale"            # (accepts autoscaler names too)
+//! [system.controller]          # optional: the elasticity controller
+//! name = "co-scale"            # 2D; or lazy, keep-alive, reactive, null
 //!
 //! [sim]                        # optional serving-plane tunables
 //! quantum_ms = 5.0
@@ -126,11 +126,7 @@ pub struct SystemSection {
     pub preset: Option<String>,
     /// Placement override.
     pub placement: Option<ComponentSection>,
-    /// Autoscaler override (horizontal-only controllers).
-    pub autoscaler: Option<ComponentSection>,
-    /// Elasticity-controller override (2D co-scaling; also accepts every
-    /// autoscaler name). Mutually exclusive with `autoscaler` — they fill
-    /// the same slot.
+    /// Elasticity-controller override (2D or horizontal-only).
     pub controller: Option<ComponentSection>,
     /// Share-policy override.
     pub share_policy: Option<ComponentSection>,
@@ -500,16 +496,6 @@ impl ScenarioConfig {
         if let Some(p) = &self.system.placement {
             builder = builder.placement_boxed(registry.placement(&p.name, &p.params)?);
         }
-        if self.system.autoscaler.is_some() && self.system.controller.is_some() {
-            return Err(ScenarioError::Config(
-                "[system] declares both `autoscaler` and `controller`; they fill the same \
-                 slot — keep one"
-                    .into(),
-            ));
-        }
-        if let Some(a) = &self.system.autoscaler {
-            builder = builder.autoscaler_boxed(registry.autoscaler(&a.name, &a.params)?);
-        }
         if let Some(c) = &self.system.controller {
             builder = builder.controller_boxed(registry.controller(&c.name, &c.params)?);
         }
@@ -717,11 +703,7 @@ fn reject_unknown_keys(root: &Value) -> Result<(), ScenarioError> {
         check("[run]", run, &["horizon_secs", "drain_secs", "seed"])?;
     }
     if let Some(system) = root.get("system") {
-        check(
-            "[system]",
-            system,
-            &["preset", "placement", "autoscaler", "controller", "share_policy"],
-        )?;
+        check("[system]", system, &["preset", "placement", "controller", "share_policy"])?;
     }
     if let Some(Value::Seq(functions)) = root.get("functions") {
         for f in functions {
@@ -994,7 +976,7 @@ arrivals = { process = "poisson", rate = 10.0 }
         let registry = Registry::with_defaults();
         let scenario = config.into_builder(&registry).unwrap().build().unwrap();
         assert_eq!(scenario.sim().controller_name(), "dilu-co-scaler");
-        // Autoscaler names resolve through the controller slot too.
+        // Horizontal-only controllers fill the same slot.
         let fallback = ScenarioConfig::from_toml_str(
             &text
                 .replace("name = \"co-scale\"", "name = \"reactive\"")
@@ -1006,7 +988,7 @@ arrivals = { process = "poisson", rate = 10.0 }
     }
 
     #[test]
-    fn autoscaler_and_controller_conflict_is_rejected() {
+    fn autoscaler_table_is_an_unknown_key_naming_controller() {
         let text = r#"
 [system]
 preset = "dilu"
@@ -1014,20 +996,15 @@ preset = "dilu"
 [system.autoscaler]
 name = "lazy"
 
-[system.controller]
-name = "co-scale"
-
 [[functions]]
 model = "bert-base"
 arrivals = { process = "poisson", rate = 10.0 }
 "#;
-        let registry = Registry::with_defaults();
-        let err = ScenarioConfig::from_toml_str(text)
-            .unwrap()
-            .into_builder(&registry)
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        assert!(err.as_ref().is_err_and(|e| e.contains("same slot")), "{err:?}");
+        let err = ScenarioConfig::from_toml_str(text).map(|_| ()).map_err(|e| e.to_string());
+        assert!(
+            err.as_ref().is_err_and(|e| e.contains("`autoscaler`") && e.contains("controller")),
+            "{err:?}"
+        );
     }
 
     #[test]

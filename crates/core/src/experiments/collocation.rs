@@ -11,7 +11,7 @@ use dilu_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::factories::{
-    FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, PinnedPlacement, RckmFactory,
+    FairFactory, FastGsFactory, MpsFactory, NullController, PinnedPlacement, RckmFactory,
     TgsFactory,
 };
 
@@ -118,7 +118,7 @@ pub fn run_case(
         ClusterSpec::single_node(gpus),
         SimConfig::default(),
         Box::new(placement),
-        Box::new(NullAutoscaler),
+        Box::new(NullController),
         factory.as_ref(),
     );
     for m in members {

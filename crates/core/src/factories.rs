@@ -1,12 +1,12 @@
-//! Named policy factories and experiment-harness placement/scaling stubs.
+//! Named policy factories and experiment-harness placement/controller stubs.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use dilu_baselines::{FastGsPolicy, MpsPolicy, QuotaSource, TgsPolicy};
 use dilu_cluster::{
-    Autoscaler, ClusterView, FunctionId, FunctionScaleView, FunctionSpec, GpuAddr, Placement,
-    PolicyFactory, ScaleAction,
+    ClusterView, ElasticityController, FunctionId, FunctionScaleView, FunctionSpec, GpuAddr,
+    Placement, PolicyFactory, ScaleAction,
 };
 use dilu_gpu::policies::FairSharePolicy;
 use dilu_gpu::SharePolicy;
@@ -158,12 +158,18 @@ impl Placement for PinnedPlacement {
     }
 }
 
-/// An autoscaler that never acts — for experiments with fixed deployments.
+/// An elasticity controller that never acts — for experiments with fixed
+/// deployments.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullAutoscaler;
+pub struct NullController;
 
-impl Autoscaler for NullAutoscaler {
-    fn on_tick(&mut self, _now: SimTime, _functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for NullController {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         Vec::new()
     }
 

@@ -30,7 +30,7 @@
 //!
 //! Or compose a system no preset describes — any
 //! [`Placement`](dilu_cluster::Placement) /
-//! [`Autoscaler`](dilu_cluster::Autoscaler) /
+//! [`ElasticityController`](dilu_cluster::ElasticityController) /
 //! [`PolicyFactory`](dilu_cluster::PolicyFactory) mix goes:
 //!
 //! ```
@@ -44,7 +44,7 @@
 //! let scenario = Scenario::builder()
 //!     .cluster(ClusterSpec::single_node(2))
 //!     .placement(DiluScheduler::new(SchedulerConfig { gamma: 2.0, ..Default::default() }))
-//!     .autoscaler(KeepAliveScaler::default())
+//!     .controller(KeepAliveScaler::default())
 //!     .share_policy(MpsFactory(QuotaSource::Request))
 //!     .horizon(SimDuration::from_secs(5))
 //!     .function(funcs::inference_function(1, ModelId::Vgg19))
@@ -55,8 +55,8 @@
 //! ```
 //!
 //! The same compositions load from TOML/JSON via [`ScenarioConfig`] +
-//! [`Registry`], and `build_sim`/[`build_sim_with`] keep the original
-//! closed API working on top of the presets.
+//! [`Registry`], and [`build_sim`] keeps the original closed API working
+//! on top of the presets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,9 +77,9 @@ pub use config::{
     SimSection, SystemSection,
 };
 pub use factories::{
-    custom_share_policy, FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, PinnedPlacement,
+    custom_share_policy, FairFactory, FastGsFactory, MpsFactory, NullController, PinnedPlacement,
     RckmFactory, TgsFactory,
 };
 pub use registry::{Params, Registry};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
-pub use system::{build_sim, build_sim_with, SystemKind, SystemOverrides};
+pub use system::{build_sim, SystemKind};

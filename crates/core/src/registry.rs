@@ -1,6 +1,6 @@
-//! String-keyed registries for placements, autoscalers, and share
-//! policies, so scenario config files (and external users) can name any
-//! component — built-in or registered at runtime — without touching an
+//! String-keyed registries for placements, elasticity controllers, and
+//! share policies, so scenario config files (and external users) can name
+//! any component — built-in or registered at runtime — without touching an
 //! enum.
 //!
 //! Every constructor receives the component's parameter table as a
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use dilu_baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
-use dilu_cluster::{Autoscaler, ElasticityController, Placement, PolicyFactory};
+use dilu_cluster::{ElasticityController, Placement, PolicyFactory};
 use dilu_gpu::SmRate;
 use dilu_rckm::RckmConfig;
 use dilu_scaler::{CoScaler, CoScalerConfig, LazyScaler, ScalerConfig};
@@ -19,17 +19,14 @@ use dilu_sim::SimDuration;
 use serde::Value;
 
 use crate::factories::{
-    FairFactory, FastGsFactory, MpsFactory, NullAutoscaler, RckmFactory, TgsFactory,
+    FairFactory, FastGsFactory, MpsFactory, NullController, RckmFactory, TgsFactory,
 };
 use crate::ScenarioError;
 
 /// Constructor signature for registered placements.
 pub type PlacementCtor =
     Box<dyn Fn(&Params) -> Result<Box<dyn Placement>, ScenarioError> + Send + Sync>;
-/// Constructor signature for registered autoscalers.
-pub type AutoscalerCtor =
-    Box<dyn Fn(&Params) -> Result<Box<dyn Autoscaler>, ScenarioError> + Send + Sync>;
-/// Constructor signature for registered 2D elasticity controllers.
+/// Constructor signature for registered elasticity controllers.
 pub type ControllerCtor =
     Box<dyn Fn(&Params) -> Result<Box<dyn ElasticityController>, ScenarioError> + Send + Sync>;
 /// Constructor signature for registered share-policy factories.
@@ -204,7 +201,6 @@ fn rckm_config(params: &Params) -> Result<RckmConfig, ScenarioError> {
 #[derive(Default)]
 pub struct Registry {
     placements: BTreeMap<String, PlacementCtor>,
-    autoscalers: BTreeMap<String, AutoscalerCtor>,
     controllers: BTreeMap<String, ControllerCtor>,
     share_policies: BTreeMap<String, SharePolicyCtor>,
 }
@@ -245,9 +241,11 @@ impl Registry {
             Ok(Box::new(ExclusivePlacement::new()))
         });
 
-        // Autoscalers.
-        r.register_autoscaler("lazy", |p| Ok(Box::new(LazyScaler::new(scaler_config(p)?))));
-        r.register_autoscaler("keep-alive", |p| {
+        // Elasticity controllers: the 2D co-scaler, then the
+        // horizontal-only ones.
+        r.register_controller("co-scale", |p| Ok(Box::new(CoScaler::new(coscaler_config(p)?))));
+        r.register_controller("lazy", |p| Ok(Box::new(LazyScaler::new(scaler_config(p)?))));
+        r.register_controller("keep-alive", |p| {
             p.expect_keys(&["keep_alive_secs"])?;
             // Observation-3 default (50 s) — must match
             // KeepAliveScaler::default() so the registry spelling composes
@@ -256,21 +254,23 @@ impl Registry {
                 None => Ok(Box::new(KeepAliveScaler::default())),
                 Some(_) => {
                     let secs = p.f64_or("keep_alive_secs", 0.0)?;
+                    if !(secs.is_finite() && secs >= 0.0) {
+                        return Err(ScenarioError::Config(format!(
+                            "parameter `keep_alive_secs` must be a finite number >= 0, got {secs}"
+                        )));
+                    }
                     Ok(Box::new(KeepAliveScaler::new(SimDuration::from_secs_f64(secs))))
                 }
             }
         });
-        r.register_autoscaler("reactive", |p| {
+        r.register_controller("reactive", |p| {
             p.expect_keys(&[])?;
             Ok(Box::new(ReactiveScaler::new()))
         });
-        r.register_autoscaler("null", |p| {
+        r.register_controller("null", |p| {
             p.expect_keys(&[])?;
-            Ok(Box::new(NullAutoscaler))
+            Ok(Box::new(NullController))
         });
-
-        // 2D elasticity controllers.
-        r.register_controller("co-scale", |p| Ok(Box::new(CoScaler::new(coscaler_config(p)?))));
 
         // Share policies.
         r.register_share_policy("rckm", |p| Ok(Box::new(RckmFactory(rckm_config(p)?))));
@@ -305,15 +305,7 @@ impl Registry {
         self.placements.insert(name.into(), Box::new(ctor));
     }
 
-    /// Registers (or replaces) an autoscaler constructor under `name`.
-    pub fn register_autoscaler<F>(&mut self, name: impl Into<String>, ctor: F)
-    where
-        F: Fn(&Params) -> Result<Box<dyn Autoscaler>, ScenarioError> + Send + Sync + 'static,
-    {
-        self.autoscalers.insert(name.into(), Box::new(ctor));
-    }
-
-    /// Registers (or replaces) a 2D elasticity-controller constructor under
+    /// Registers (or replaces) an elasticity-controller constructor under
     /// `name`.
     pub fn register_controller<F>(&mut self, name: impl Into<String>, ctor: F)
     where
@@ -349,43 +341,20 @@ impl Registry {
         }
     }
 
-    /// Builds the autoscaler registered under `name`.
-    pub fn autoscaler(
-        &self,
-        name: &str,
-        params: &Params,
-    ) -> Result<Box<dyn Autoscaler>, ScenarioError> {
-        match self.autoscalers.get(name) {
-            Some(ctor) => ctor(params),
-            None => Err(ScenarioError::Unknown {
-                kind: "autoscaler",
-                name: name.to_owned(),
-                known: self.autoscaler_names(),
-            }),
-        }
-    }
-
     /// Builds the elasticity controller registered under `name`.
-    ///
-    /// Falls back to the autoscaler namespace: any registered
-    /// [`Autoscaler`] resolves here too, adapted into a horizontal-only
-    /// controller — so `[system.controller]` accepts every name
-    /// `[system.autoscaler]` does, plus the true 2D controllers.
     pub fn controller(
         &self,
         name: &str,
         params: &Params,
     ) -> Result<Box<dyn ElasticityController>, ScenarioError> {
-        if let Some(ctor) = self.controllers.get(name) {
-            return ctor(params);
+        match self.controllers.get(name) {
+            Some(ctor) => ctor(params),
+            None => Err(ScenarioError::Unknown {
+                kind: "controller",
+                name: name.to_owned(),
+                known: self.controller_names(),
+            }),
         }
-        if self.autoscalers.contains_key(name) {
-            let autoscaler = self.autoscaler(name, params)?;
-            return Ok(Box::new(autoscaler));
-        }
-        let mut known = self.controller_names();
-        known.extend(self.autoscaler_names());
-        Err(ScenarioError::Unknown { kind: "controller", name: name.to_owned(), known })
     }
 
     /// Builds the share-policy factory registered under `name`.
@@ -409,13 +378,14 @@ impl Registry {
         self.placements.keys().cloned().collect()
     }
 
-    /// Registered autoscaler names, sorted.
+    /// Always empty: horizontal-only controllers are registered and listed
+    /// with the others by [`controller_names`](Self::controller_names).
+    #[deprecated(note = "every controller is listed by `controller_names`")]
     pub fn autoscaler_names(&self) -> Vec<String> {
-        self.autoscalers.keys().cloned().collect()
+        Vec::new()
     }
 
-    /// Registered 2D-controller names, sorted (autoscaler names resolve as
-    /// controllers too but are listed by [`autoscaler_names`](Self::autoscaler_names)).
+    /// Registered elasticity-controller names, sorted.
     pub fn controller_names(&self) -> Vec<String> {
         self.controllers.keys().cloned().collect()
     }
@@ -434,14 +404,10 @@ mod tests {
     fn defaults_cover_every_builtin() {
         let r = Registry::with_defaults();
         assert_eq!(r.placement_names(), ["dilu", "exclusive", "first-fit", "packing"]);
-        assert_eq!(r.autoscaler_names(), ["keep-alive", "lazy", "null", "reactive"]);
-        assert_eq!(r.controller_names(), ["co-scale"]);
+        assert_eq!(r.controller_names(), ["co-scale", "keep-alive", "lazy", "null", "reactive"]);
         assert_eq!(r.share_policy_names(), ["fair", "fast-gs", "mps-l", "mps-r", "rckm", "tgs"]);
         for name in r.placement_names() {
             assert!(r.placement(&name, &Params::empty()).is_ok(), "placement {name}");
-        }
-        for name in r.autoscaler_names() {
-            assert!(r.autoscaler(&name, &Params::empty()).is_ok(), "autoscaler {name}");
         }
         for name in r.controller_names() {
             assert!(r.controller(&name, &Params::empty()).is_ok(), "controller {name}");
@@ -478,19 +444,17 @@ mod tests {
     }
 
     #[test]
-    fn autoscalers_resolve_as_controllers() {
+    fn controllers_resolve_with_their_knobs() {
         let r = Registry::with_defaults();
-        // Horizontal-only names adapt through the blanket impl.
         let lazy = r.controller("lazy", &Params::empty()).unwrap();
         assert_eq!(lazy.name(), "dilu-lazy-scaler");
-        // The true 2D controller resolves directly, with its knobs.
         let params = Params::from_entries(vec![
             ("max_request_pct".into(), Value::Float(80.0)),
             ("phi_out".into(), Value::UInt(10)),
         ]);
         let co = r.controller("co-scale", &params).unwrap();
         assert_eq!(co.name(), "dilu-co-scaler");
-        // Unknown names list both namespaces.
+        // Unknown names list the alternatives.
         let err = match r.controller("no-such", &Params::empty()) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("lookup must fail"),
@@ -504,10 +468,25 @@ mod tests {
     #[test]
     fn user_registration_extends_the_namespace() {
         let mut r = Registry::with_defaults();
-        r.register_autoscaler("noop", |p| {
+        r.register_controller("noop", |p| {
             p.expect_keys(&[])?;
-            Ok(Box::new(NullAutoscaler))
+            Ok(Box::new(NullController))
         });
-        assert!(r.autoscaler("noop", &Params::empty()).is_ok());
+        assert!(r.controller("noop", &Params::empty()).is_ok());
+    }
+
+    #[test]
+    fn keep_alive_rejects_negative_and_non_finite_durations() {
+        let r = Registry::with_defaults();
+        for secs in [-5.0, f64::NAN, f64::INFINITY] {
+            let params = Params::from_entries(vec![("keep_alive_secs".into(), Value::Float(secs))]);
+            let msg = match r.controller("keep-alive", &params) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("keep_alive_secs = {secs} must fail"),
+            };
+            assert!(msg.contains("keep_alive_secs"), "{msg}");
+        }
+        let zero = Params::from_entries(vec![("keep_alive_secs".into(), Value::Float(0.0))]);
+        assert!(r.controller("keep-alive", &zero).is_ok());
     }
 }

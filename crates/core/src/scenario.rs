@@ -3,9 +3,10 @@
 //! workloads and run it.
 //!
 //! [`ScenarioBuilder`] is the single front door over the serving-plane
-//! substrate: any [`Placement`], [`Autoscaler`], and [`PolicyFactory`] can
-//! be mixed freely, so new configurations (hybrid autoscalers,
-//! spatial-partition baselines, ...) need no enum variant or match arm.
+//! substrate: any [`Placement`], [`ElasticityController`], and
+//! [`PolicyFactory`] can be mixed freely, so new configurations (hybrid
+//! controllers, spatial-partition baselines, ...) need no enum variant or
+//! match arm.
 //! [`SystemKind`](crate::SystemKind) presets return pre-populated builders,
 //! and [`ScenarioConfig`](crate::ScenarioConfig) deserializes TOML/JSON
 //! straight into one.
@@ -33,8 +34,8 @@
 
 use dilu_cluster::ClusterReport;
 use dilu_cluster::{
-    Autoscaler, ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId,
-    FunctionSpec, Placement, PolicyFactory, SimConfig,
+    ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId, FunctionSpec,
+    Placement, PolicyFactory, SimConfig,
 };
 use dilu_sim::{SimDuration, SimTime};
 use dilu_workload::{ArrivalProcess, ArrivalSpec};
@@ -45,9 +46,8 @@ use dilu_workload::{ArrivalProcess, ArrivalSpec};
 pub enum ScenarioError {
     /// No placement policy was supplied (and no preset provided one).
     MissingPlacement,
-    /// No elasticity controller (or autoscaler) was supplied, and no preset
-    /// provided one.
-    MissingAutoscaler,
+    /// No elasticity controller was supplied (and no preset provided one).
+    MissingController,
     /// No share-policy factory was supplied (and no preset provided one).
     MissingSharePolicy,
     /// An inference function has no arrival source; use
@@ -73,7 +73,7 @@ pub enum ScenarioError {
     Deploy(DeployError),
     /// A registry lookup failed (unknown name).
     Unknown {
-        /// What was looked up: "placement", "autoscaler", ...
+        /// What was looked up: "placement", "controller", ...
         kind: &'static str,
         /// The name that matched nothing.
         name: String,
@@ -88,7 +88,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::MissingPlacement => write!(f, "scenario has no placement policy"),
-            ScenarioError::MissingAutoscaler => write!(f, "scenario has no autoscaler"),
+            ScenarioError::MissingController => {
+                write!(f, "scenario has no elasticity controller")
+            }
             ScenarioError::MissingSharePolicy => {
                 write!(f, "scenario has no share-policy factory")
             }
@@ -238,23 +240,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets a horizontal-only autoscaler as the elasticity controller
-    /// (through the blanket [`ElasticityController`] adapter).
-    pub fn autoscaler(mut self, autoscaler: impl Autoscaler + 'static) -> Self {
-        self.controller = Some(Box::new(autoscaler));
-        self
-    }
-
-    /// Sets the autoscaler from a box (registry path).
-    pub fn autoscaler_boxed(mut self, autoscaler: Box<dyn Autoscaler>) -> Self {
-        self.controller = Some(Box::new(autoscaler));
-        self
-    }
-
-    /// Sets a 2D elasticity controller (vertical quota resizing plus
-    /// horizontal scaling). Replaces whatever
-    /// [`autoscaler`](Self::autoscaler) set and vice versa — they fill the
-    /// same slot.
+    /// Sets the elasticity controller: 2D (vertical quota resizing plus
+    /// horizontal scaling) or horizontal-only.
     pub fn controller(mut self, controller: impl ElasticityController + 'static) -> Self {
         self.controller = Some(Box::new(controller));
         self
@@ -445,29 +432,23 @@ impl ScenarioBuilder {
             return Err(misuse);
         }
         let placement = self.placement.take().ok_or(ScenarioError::MissingPlacement)?;
-        let controller = self.controller.take().ok_or(ScenarioError::MissingAutoscaler)?;
+        let controller = self.controller.take().ok_or(ScenarioError::MissingController)?;
         let share_policy = self.share_policy.take().ok_or(ScenarioError::MissingSharePolicy)?;
         Ok((placement, controller, share_policy))
     }
 
     /// Builds just the composed serving substrate, with no functions
-    /// attached — the old `build_sim_with` contract.
+    /// attached.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::MissingPlacement`] /
-    /// [`ScenarioError::MissingAutoscaler`] /
+    /// [`ScenarioError::MissingController`] /
     /// [`ScenarioError::MissingSharePolicy`] when a component is absent,
     /// or any recorded builder misuse.
     pub fn build_sim(mut self) -> Result<ClusterSim, ScenarioError> {
         let (placement, controller, share_policy) = self.take_components()?;
-        Ok(ClusterSim::with_controller(
-            self.cluster,
-            self.sim,
-            placement,
-            controller,
-            &*share_policy,
-        ))
+        Ok(ClusterSim::new(self.cluster, self.sim, placement, controller, &*share_policy))
     }
 
     /// Builds the full scenario: validates the composition and deploys
@@ -491,13 +472,8 @@ impl ScenarioBuilder {
         if self.functions.is_empty() {
             return Err(ScenarioError::NoFunctions);
         }
-        let mut sim = ClusterSim::with_controller(
-            self.cluster,
-            self.sim,
-            placement,
-            controller,
-            &*share_policy,
-        );
+        let mut sim =
+            ClusterSim::new(self.cluster, self.sim, placement, controller, &*share_policy);
         let end = SimTime::ZERO + self.horizon;
         for entry in self.functions {
             match entry.workload {
@@ -562,7 +538,7 @@ impl std::fmt::Debug for Scenario {
         f.debug_struct("Scenario")
             .field("cluster", self.sim.spec())
             .field("placement", &self.sim.placement_name())
-            .field("autoscaler", &self.sim.autoscaler_name())
+            .field("controller", &self.sim.controller_name())
             .field("share_policy", &self.sim.share_policy_name())
             .field("horizon", &self.horizon)
             .finish_non_exhaustive()

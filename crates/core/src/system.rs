@@ -2,13 +2,13 @@
 //! §5.1, expressed as pre-populated [`ScenarioBuilder`]s.
 //!
 //! [`SystemKind`] is no longer the closed front door of composition — any
-//! mix of placement/autoscaler/share policy goes through
+//! mix of placement/controller/share policy goes through
 //! [`ScenarioBuilder`] directly. Each variant here is a *preset*: a
 //! builder with the paper's composition filled in, every knob still
 //! swappable before `build()`.
 
 use dilu_baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
-use dilu_cluster::{ClusterSim, ClusterSpec, SimConfig};
+use dilu_cluster::{ClusterSim, ClusterSpec};
 use dilu_rckm::RckmConfig;
 use dilu_scaler::{LazyScaler, ScalerConfig};
 use dilu_scheduler::{DiluScheduler, ExclusivePlacement, SchedulerConfig};
@@ -116,87 +116,62 @@ impl SystemKind {
     /// and default knobs. Every component can still be swapped before
     /// `build()`.
     pub fn builder(self) -> ScenarioBuilder {
-        self.builder_with(SystemOverrides::default())
-    }
-
-    /// [`builder`](Self::builder) with explicit knob overrides
-    /// (sensitivity studies).
-    pub fn builder_with(self, ov: SystemOverrides) -> ScenarioBuilder {
-        let sim_config = ov.sim.unwrap_or_default();
-        let rckm = ov.rckm.unwrap_or_default();
-        let dilu_sched = ov.scheduler.unwrap_or_default();
-        let scaler = ov.scaler.unwrap_or_default();
+        let rckm = RckmConfig::default();
+        let dilu_sched = SchedulerConfig::default();
+        let scaler = ScalerConfig::default();
         // INFless-style packers: complementarity scoring without Dilu's
         // affinity pass.
         let packing = SchedulerConfig { workload_affinity: false, ..dilu_sched };
-        let builder = ScenarioBuilder::new().sim_config(sim_config);
+        let builder = ScenarioBuilder::new();
         match self {
             SystemKind::Dilu => builder
                 .placement(DiluScheduler::new(dilu_sched))
-                .autoscaler(LazyScaler::new(scaler))
+                .controller(LazyScaler::new(scaler))
                 .share_policy(RckmFactory(rckm)),
             SystemKind::DiluNoRc => builder
                 .placement(DiluScheduler::new(SchedulerConfig {
                     resource_complementary: false,
                     ..dilu_sched
                 }))
-                .autoscaler(LazyScaler::new(scaler))
+                .controller(LazyScaler::new(scaler))
                 .share_policy(RckmFactory(rckm)),
             SystemKind::DiluNoWa => builder
                 .placement(DiluScheduler::new(SchedulerConfig {
                     workload_affinity: false,
                     ..dilu_sched
                 }))
-                .autoscaler(LazyScaler::new(scaler))
+                .controller(LazyScaler::new(scaler))
                 .share_policy(RckmFactory(rckm)),
             SystemKind::DiluNoVs => builder
                 .placement(DiluScheduler::new(dilu_sched))
-                .autoscaler(LazyScaler::new(scaler))
+                .controller(LazyScaler::new(scaler))
                 .share_policy(MpsFactory(QuotaSource::Limit)),
             SystemKind::Exclusive => builder
                 .placement(ExclusivePlacement::new())
-                .autoscaler(KeepAliveScaler::default())
+                .controller(KeepAliveScaler::default())
                 .share_policy(FairFactory),
             SystemKind::InflessPlusL => builder
                 .placement(DiluScheduler::new(packing))
-                .autoscaler(KeepAliveScaler::default())
+                .controller(KeepAliveScaler::default())
                 .share_policy(MpsFactory(QuotaSource::Limit)),
             SystemKind::InflessPlusR => builder
                 .placement(DiluScheduler::new(packing))
-                .autoscaler(KeepAliveScaler::default())
+                .controller(KeepAliveScaler::default())
                 .share_policy(MpsFactory(QuotaSource::Request)),
             SystemKind::FastGsPlus => builder
                 .placement(DiluScheduler::new(packing))
-                .autoscaler(ReactiveScaler::new())
+                .controller(ReactiveScaler::new())
                 .share_policy(FastGsFactory),
         }
     }
 }
 
-/// Knob overrides for sensitivity studies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemOverrides {
-    /// Overrides the RCKM configuration (Fig. 18(b) MaxTokens sweep).
-    pub rckm: Option<RckmConfig>,
-    /// Overrides the scheduler configuration (Fig. 18(a) γ sweep).
-    pub scheduler: Option<SchedulerConfig>,
-    /// Overrides the lazy-scaler configuration.
-    pub scaler: Option<ScalerConfig>,
-    /// Overrides the serving-plane configuration.
-    pub sim: Option<SimConfig>,
-}
-
 /// Builds a ready-to-use cluster simulator for `kind` with default knobs.
-pub fn build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
-    build_sim_with(kind, spec, SystemOverrides::default())
-}
-
-/// Builds a cluster simulator for `kind` with explicit overrides.
 ///
-/// Equivalent to `kind.builder_with(ov).cluster(spec).build_sim()` — the
-/// presets populate every component, so this cannot fail.
-pub fn build_sim_with(kind: SystemKind, spec: ClusterSpec, ov: SystemOverrides) -> ClusterSim {
-    kind.builder_with(ov).cluster(spec).build_sim().expect("presets populate every component")
+/// Equivalent to `kind.builder().cluster(spec).build_sim()` — the presets
+/// populate every component, so this cannot fail.
+pub fn build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
+    kind.builder().cluster(spec).build_sim().expect("presets populate every component")
 }
 
 #[cfg(test)]
@@ -242,7 +217,7 @@ mod tests {
     fn presets_expose_component_names() {
         let sim = build_sim(SystemKind::Dilu, ClusterSpec::single_node(1));
         assert_eq!(sim.placement_name(), "dilu-scheduler");
-        assert_eq!(sim.autoscaler_name(), "dilu-lazy-scaler");
+        assert_eq!(sim.controller_name(), "dilu-lazy-scaler");
         assert_eq!(sim.share_policy_name(), "dilu-rckm");
         let excl = build_sim(SystemKind::Exclusive, ClusterSpec::single_node(1));
         assert_eq!(excl.placement_name(), "exclusive");

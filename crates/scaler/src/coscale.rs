@@ -169,7 +169,7 @@ impl CoScaler {
         let window: &[u64] = if f.rps_window.len() > cfg.window {
             &f.rps_window[f.rps_window.len() - cfg.window..]
         } else {
-            &f.rps_window
+            f.rps_window
         };
         let capacity_now = f.capacity_rps * f64::from(deployed);
         let above = window.iter().filter(|&&rps| rps as f64 > capacity_now).count();
@@ -316,7 +316,7 @@ mod tests {
     use dilu_cluster::{FunctionKind, QuotaView};
     use dilu_sim::SimDuration;
 
-    fn view(window: Vec<u64>, ready: u32, quota: QuotaView) -> FunctionScaleView {
+    fn view(window: &[u64], ready: u32, quota: QuotaView) -> FunctionScaleView<'_> {
         FunctionScaleView {
             func: FunctionId(1),
             kind: FunctionKind::Inference { slo: SimDuration::from_millis(100), batch: 4 },
@@ -356,7 +356,7 @@ mod tests {
     fn burst_with_headroom_resizes_instead_of_scaling_out() {
         let mut s = CoScaler::new(CoScalerConfig::default());
         // 20%→40% quotas, 60% slack on the GPU, capacity doubling at limit.
-        let actions = tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
         assert_eq!(actions.len(), 1, "{actions:?}");
         let ScaleAction::ResizeQuota { request, limit, .. } = actions[0] else {
             panic!("expected a resize, got {:?}", actions[0]);
@@ -375,19 +375,19 @@ mod tests {
         // 8 hot seconds: above φ_vertical (5) but far below φ_out (20).
         let mut w = vec![10u64; 32];
         w.extend([160u64; 8]);
-        let actions = tick(&mut s, view(w.clone(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 60.0, 100.0)));
         assert_eq!(actions.len(), 1, "{actions:?}");
         assert!(matches!(actions[0], ScaleAction::ResizeQuota { .. }), "{actions:?}");
         // Same burst with zero vertical headroom: still no cold start — the
         // horizontal dimension stays lazy below φ_out.
-        let actions = tick(&mut s, view(w, 1, quota(20.0, 40.0, 0.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 0.0, 100.0)));
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn burst_without_headroom_falls_back_to_scale_out() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let actions = tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 0.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 0.0, 100.0)));
         assert_eq!(actions.len(), 1, "{actions:?}");
         let ScaleAction::ScaleOut { count, .. } = actions[0] else {
             panic!("expected scale out, got {:?}", actions[0]);
@@ -400,7 +400,7 @@ mod tests {
     fn partial_headroom_combines_both_dimensions() {
         let mut s = CoScaler::new(CoScalerConfig::default());
         // Only 10% slack: vertical buys ~25 rps, the rest must scale out.
-        let actions = tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 10.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 10.0, 100.0)));
         assert_eq!(actions.len(), 2, "{actions:?}");
         assert!(matches!(actions[0], ScaleAction::ResizeQuota { .. }), "{actions:?}");
         assert!(matches!(actions[1], ScaleAction::ScaleOut { .. }), "{actions:?}");
@@ -411,7 +411,7 @@ mod tests {
         let config =
             CoScalerConfig { max_request: SmRate::from_percent(25.0), ..CoScalerConfig::default() };
         let mut s = CoScaler::new(config);
-        let actions = tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
         let ScaleAction::ResizeQuota { request, .. } = actions[0] else {
             panic!("expected a resize, got {:?}", actions[0]);
         };
@@ -426,9 +426,9 @@ mod tests {
     fn quiet_window_shrinks_grown_quotas_before_scaling_in() {
         let mut s = CoScaler::new(CoScalerConfig::default());
         // Record the 20%/40% baseline.
-        tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
         // Later: quotas grown to 60%, demand collapsed to ~5 rps.
-        let mut grown = view(vec![5u64; 40], 2, quota(60.0, 120.0, 20.0, 90.0));
+        let mut grown = view(&[5u64; 40], 2, quota(60.0, 120.0, 20.0, 90.0));
         grown.capacity_rps = 80.0;
         let actions = tick(&mut s, grown);
         assert_eq!(actions.len(), 1, "{actions:?}");
@@ -442,18 +442,18 @@ mod tests {
     #[test]
     fn at_baseline_quotas_horizontal_scale_in_applies() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        tick(&mut s, view(hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
         // Back at baseline quotas with 2 instances and a long quiet window.
         let mut w = vec![80u64; 5];
         w.extend([20u64; 35]);
-        let actions = tick(&mut s, view(w, 2, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 2, quota(20.0, 40.0, 60.0, 100.0)));
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
     }
 
     #[test]
     fn scales_to_zero_like_the_lazy_scaler() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let actions = tick(&mut s, view(vec![0u64; 40], 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&[0u64; 40], 1, quota(20.0, 40.0, 60.0, 100.0)));
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
     }
 
@@ -480,7 +480,8 @@ mod tests {
             }],
         };
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let mut f1 = view(hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0));
+        let hot = hot_window();
+        let mut f1 = view(&hot, 1, quota(20.0, 40.0, 60.0, 100.0));
         let mut f2 = f1.clone();
         f2.func = FunctionId(2);
         let actions = s.on_tick(SimTime::from_secs(60), &[f1.clone(), f2.clone()], &cluster);
@@ -547,9 +548,10 @@ mod tests {
                 })
                 .collect(),
         };
+        let hot = hot_window();
         let views: Vec<FunctionScaleView> = (0..6)
             .map(|id| {
-                let mut v = view(hot_window(), 1, quota(15.0, 30.0, 55.0, 100.0));
+                let mut v = view(&hot, 1, quota(15.0, 30.0, 55.0, 100.0));
                 v.func = FunctionId(id);
                 v
             })
@@ -566,7 +568,7 @@ mod tests {
     #[test]
     fn training_functions_are_ignored() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let mut v = view(vec![100; 40], 1, quota(20.0, 40.0, 60.0, 100.0));
+        let mut v = view(&[100; 40], 1, quota(20.0, 40.0, 60.0, 100.0));
         v.kind = FunctionKind::Training { workers: 2, iterations: 10 };
         assert!(tick(&mut s, v).is_empty());
     }
@@ -574,7 +576,7 @@ mod tests {
     #[test]
     fn zero_instances_with_backlog_cold_starts() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let mut v = view(vec![0; 40], 0, quota(20.0, 40.0, 0.0, 100.0));
+        let mut v = view(&[0; 40], 0, quota(20.0, 40.0, 0.0, 100.0));
         v.backlog = 3;
         let actions = tick(&mut s, v);
         assert_eq!(actions, vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 1 }]);

@@ -1,6 +1,6 @@
 //! The lazy scaling-out/in controller.
 
-use dilu_cluster::{Autoscaler, FunctionScaleView, ScaleAction};
+use dilu_cluster::{ClusterView, ElasticityController, FunctionScaleView, ScaleAction};
 use dilu_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -24,13 +24,13 @@ impl Default for ScalerConfig {
 }
 
 /// Dilu's global scaler: lazy scale-out/in coordinated with RCKM's fast
-/// vertical scaling.
+/// vertical scaling. Horizontal-only: it ignores the cluster view.
 ///
 /// # Examples
 ///
 /// ```
 /// use dilu_scaler::{LazyScaler, ScalerConfig};
-/// use dilu_cluster::Autoscaler;
+/// use dilu_cluster::ElasticityController;
 ///
 /// let scaler = LazyScaler::new(ScalerConfig::default());
 /// assert_eq!(scaler.name(), "dilu-lazy-scaler");
@@ -67,7 +67,7 @@ impl LazyScaler {
         let window: &[u64] = if f.rps_window.len() > self.config.window {
             &f.rps_window[f.rps_window.len() - self.config.window..]
         } else {
-            &f.rps_window
+            f.rps_window
         };
         let capacity_now = f.capacity_rps * f64::from(deployed);
         let above = window.iter().filter(|&&rps| rps as f64 > capacity_now).count();
@@ -109,8 +109,13 @@ pub(crate) fn horizontal_scale_in(
     None
 }
 
-impl Autoscaler for LazyScaler {
-    fn on_tick(&mut self, _now: SimTime, functions: &[FunctionScaleView]) -> Vec<ScaleAction> {
+impl ElasticityController for LazyScaler {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
         functions.iter().filter_map(|f| self.decide(f)).collect()
     }
 
@@ -125,7 +130,7 @@ mod tests {
     use dilu_cluster::{FunctionId, FunctionKind};
     use dilu_sim::SimDuration;
 
-    fn view(window: Vec<u64>, ready: u32, starting: u32, backlog: usize) -> FunctionScaleView {
+    fn view(window: &[u64], ready: u32, starting: u32, backlog: usize) -> FunctionScaleView<'_> {
         FunctionScaleView {
             func: FunctionId(1),
             kind: FunctionKind::Inference { slo: SimDuration::from_millis(100), batch: 4 },
@@ -141,7 +146,7 @@ mod tests {
     }
 
     fn tick(scaler: &mut LazyScaler, v: FunctionScaleView) -> Vec<ScaleAction> {
-        scaler.on_tick(SimTime::from_secs(60), &[v])
+        scaler.on_tick(SimTime::from_secs(60), &[v], &ClusterView { gpus: Vec::new() })
     }
 
     #[test]
@@ -150,7 +155,7 @@ mod tests {
         // 10 hot seconds out of 40: below φ_out=20 → vertical scaling absorbs it.
         let mut w = vec![10u64; 30];
         w.extend([120u64; 10]);
-        assert!(tick(&mut s, view(w, 1, 0, 0)).is_empty());
+        assert!(tick(&mut s, view(&w, 1, 0, 0)).is_empty());
     }
 
     #[test]
@@ -159,7 +164,7 @@ mod tests {
         // 25 of 40 seconds at 160 rps against one 50-rps instance.
         let mut w = vec![10u64; 15];
         w.extend([160u64; 25]);
-        let actions = tick(&mut s, view(w, 1, 0, 0));
+        let actions = tick(&mut s, view(&w, 1, 0, 0));
         assert_eq!(actions.len(), 1);
         let ScaleAction::ScaleOut { count, .. } = actions[0] else {
             panic!("expected scale out, got {:?}", actions[0]);
@@ -173,7 +178,7 @@ mod tests {
         let mut s = LazyScaler::new(ScalerConfig::default());
         let w = vec![80u64; 40];
         // 1 ready + 1 starting = 100 rps capacity ≥ 80 → no action.
-        assert!(tick(&mut s, view(w, 1, 1, 0)).is_empty());
+        assert!(tick(&mut s, view(&w, 1, 1, 0)).is_empty());
     }
 
     #[test]
@@ -182,31 +187,31 @@ mod tests {
         // 2 instances (100 rps); 35 of 40 samples below 50 rps (n-1 capacity).
         let mut w = vec![80u64; 5];
         w.extend([20u64; 35]);
-        let actions = tick(&mut s, view(w, 2, 0, 0));
+        let actions = tick(&mut s, view(&w, 2, 0, 0));
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
         // Only 20 quiet samples: not enough (φ_in = 30).
         let mut w = vec![80u64; 20];
         w.extend([20u64; 20]);
-        assert!(tick(&mut s, view(w, 2, 0, 0)).is_empty());
+        assert!(tick(&mut s, view(&w, 2, 0, 0)).is_empty());
     }
 
     #[test]
     fn scales_to_zero_only_after_fully_idle_window() {
         let mut s = LazyScaler::new(ScalerConfig::default());
         let w = vec![0u64; 40];
-        let actions = tick(&mut s, view(w, 1, 0, 0));
+        let actions = tick(&mut s, view(&w, 1, 0, 0));
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
         let mut w = vec![0u64; 39];
         w.push(1);
-        assert!(tick(&mut s, view(w, 1, 0, 0)).is_empty());
+        assert!(tick(&mut s, view(&w, 1, 0, 0)).is_empty());
     }
 
     #[test]
     fn zero_instances_with_backlog_cold_starts() {
         let mut s = LazyScaler::new(ScalerConfig::default());
-        let actions = tick(&mut s, view(vec![0; 40], 0, 0, 3));
+        let actions = tick(&mut s, view(&[0; 40], 0, 0, 3));
         assert_eq!(actions, vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 1 }]);
-        assert!(tick(&mut s, view(vec![0; 40], 0, 0, 0)).is_empty());
+        assert!(tick(&mut s, view(&[0; 40], 0, 0, 0)).is_empty());
     }
 
     #[test]
@@ -214,7 +219,7 @@ mod tests {
         let mut s = LazyScaler::new(ScalerConfig::default());
         let v = FunctionScaleView {
             kind: FunctionKind::Training { workers: 4, iterations: 10 },
-            ..view(vec![100; 40], 1, 0, 0)
+            ..view(&[100; 40], 1, 0, 0)
         };
         assert!(tick(&mut s, v).is_empty());
     }

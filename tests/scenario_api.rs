@@ -1,7 +1,7 @@
 //! Integration tests of the open composition API: `ScenarioBuilder`,
 //! `ScenarioConfig` round-trips, registry lookups, and the guarantee that
-//! every `SystemKind` preset composes exactly what the pre-redesign
-//! `build_sim_with` path did.
+//! every `SystemKind` preset composes exactly what the pre-redesign closed
+//! composition did.
 
 use dilu::cluster::{ClusterReport, ClusterSim, ClusterSpec, DeployError, SimConfig};
 use dilu::core::experiments;
@@ -113,7 +113,7 @@ gpus_per_node = 4
 [system]
 preset = "infless-l"
 
-[system.autoscaler]
+[system.controller]
 name = "keep-alive"
 keep_alive_secs = 12.0
 
@@ -151,10 +151,10 @@ fn config_preset_with_component_override_composes_correctly() {
     let registry = Registry::with_defaults();
     let scenario = config.into_builder(&registry).unwrap().build().unwrap();
     // Preset infless-l supplies packing placement + mps-l policy; the
-    // autoscaler table overrides keep-alive parameters (same name).
+    // controller table overrides keep-alive parameters (same name).
     assert_eq!(scenario.sim().placement_name(), "dilu-scheduler");
     assert_eq!(scenario.sim().share_policy_name(), "mps-l");
-    assert_eq!(scenario.sim().autoscaler_name(), "infless+-keepalive");
+    assert_eq!(scenario.sim().controller_name(), "infless+-keepalive");
     let report = scenario.run().unwrap();
     assert!(report.inference.values().next().unwrap().completed > 0);
     assert!(report.training.values().next().unwrap().iterations_done > 0);
@@ -204,12 +204,12 @@ fn config_threads_must_be_one() {
 }
 
 // ---------------------------------------------------------------------------
-// Preset ≡ pre-redesign build_sim_with
+// Preset ≡ pre-redesign closed composition
 // ---------------------------------------------------------------------------
 
 /// The original closed composition, reproduced verbatim from the
-/// pre-redesign `build_sim_with` match so the presets are checked against
-/// the historical behaviour, not against themselves.
+/// pre-redesign preset match so the presets are checked against the
+/// historical behaviour, not against themselves.
 fn legacy_build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
     use dilu::baselines::{KeepAliveScaler, QuotaSource, ReactiveScaler};
     use dilu::core::{FairFactory, FastGsFactory, MpsFactory, RckmFactory};
@@ -339,7 +339,7 @@ fn every_preset_matches_the_legacy_composition_exactly() {
         let spec = ClusterSpec::single_node(4);
         let legacy = digest(legacy_build_sim(kind, spec));
         let preset = digest(build_sim(kind, spec));
-        assert_eq!(legacy, preset, "preset {kind:?} diverges from legacy build_sim_with");
+        assert_eq!(legacy, preset, "preset {kind:?} diverges from the legacy composition");
 
         let via_builder = digest(kind.builder().cluster(spec).build_sim().expect("preset builds"));
         assert_eq!(legacy, via_builder, "builder path diverges for {kind:?}");
@@ -544,7 +544,7 @@ gpus_per_node = 2
 [system.placement]
 name = "exclusive"
 
-[system.autoscaler]
+[system.controller]
 name = "keep-alive"
 
 [system.share_policy]
