@@ -58,10 +58,11 @@ fn main() {
         config.run.as_ref().and_then(|r| r.horizon_secs).expect("run section with horizon");
     assert!(functions >= 10_000, "production day means a 10k-function fleet, got {functions}");
     assert!(horizon_secs >= 86_400, "production day means a full simulated day");
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
 
     println!(
         "== production-day: {functions} functions, {horizon_secs} s simulated, \
-         streamed then materialized =="
+         streamed then materialized ({hardware_threads} hardware threads) =="
     );
 
     // Streamed lane first: its peak RSS must be read before anything
@@ -102,6 +103,7 @@ fn main() {
         (s("materialized_wall_secs"), serde::Value::Float(round2(materialized_secs))),
         (s("materialized_peak_rss_bytes"), serde::Value::UInt(materialized_rss)),
         (s("reports_identical"), serde::Value::Bool(true)),
+        (s("hardware_threads"), serde::Value::UInt(u64::from(hardware_threads))),
         (s("peak_gpus"), serde::Value::UInt(u64::from(streamed_report.peak_gpus))),
         (s("mean_svr"), serde::Value::Float(round2(streamed_report.mean_svr() * 100.0))),
     ]);

@@ -18,15 +18,38 @@ use std::collections::BTreeMap;
 
 use dilu_gpu::{SmRate, TaskClass};
 use dilu_metrics::{FragmentationSnapshot, GpuUsageSample};
+use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
 
 use crate::audit::{AuditHook, AuditSnapshot, FunctionAudit, GpuAudit};
+use crate::lifecycle::{task_class, LaunchError};
 use crate::report::TimelinePoint;
 use crate::sim::{ClusterSim, SimEvent};
 use crate::traits::{
     ClusterView, FunctionScaleView, GpuView, QuotaView, ResidentInfo, ScaleAction,
 };
-use crate::{FunctionId, GpuAddr, InstanceState};
+use crate::{FunctionId, FunctionSpec, GpuAddr, InstanceState, Quotas};
+
+/// What a [`Placement`](crate::Placement) may base a refusal on (see its
+/// contract): two specs of one shape are refused alike on one view.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlacementShape {
+    model: ModelId,
+    class: TaskClass,
+    gpus_per_instance: u32,
+    quotas: Quotas,
+}
+
+impl PlacementShape {
+    fn of(spec: &FunctionSpec) -> Self {
+        PlacementShape {
+            model: spec.model,
+            class: task_class(spec.kind),
+            gpus_per_instance: spec.gpus_per_instance,
+            quotas: spec.quotas,
+        }
+    }
+}
 
 /// A decided-but-not-yet-applied vertical resize.
 #[derive(Debug, Clone, Copy)]
@@ -182,6 +205,7 @@ impl ClusterSim {
             }
             f.spec.quotas.request = r.request;
             f.spec.quotas.limit = r.limit;
+            f.capacity = None;
             let ids = f.instance_ids.clone();
             for uid in ids {
                 let Some(inst) = self.instances.get(&uid) else {
@@ -236,11 +260,7 @@ impl ClusterSim {
             let Some(f) = self.funcs.get(&inst.func) else {
                 continue;
             };
-            let class = if f.spec.kind.is_inference() {
-                TaskClass::SloSensitive
-            } else {
-                TaskClass::BestEffort
-            };
+            let class = task_class(f.spec.kind);
             let per_gpu_mem = f.spec.quotas.mem_bytes;
             for gpu in &inst.gpus {
                 let idx = (gpu.node * per + gpu.gpu) as usize;
@@ -305,10 +325,14 @@ impl ClusterSim {
         let now = self.now;
         let headroom = self.vertical_headroom(&cluster);
         let fetch_bytes = self.pending_fetch_bytes();
-        // Roll every window first: the views below borrow them for the
-        // controller call instead of copying their samples.
+        // Roll every window and fill every stale capacity cache first:
+        // the views below borrow the windows for the controller call
+        // instead of copying their samples.
         for f in self.funcs.values_mut() {
             f.window.roll_to(now);
+            f.capacity.get_or_insert_with(|| {
+                (f.spec.capacity_rps(), f.spec.capacity_rps_at(f.spec.quotas.limit))
+            });
         }
         let mut views = Vec::with_capacity(self.funcs.len());
         let instances = &self.instances;
@@ -316,6 +340,15 @@ impl ClusterSim {
             if !f.spec.kind.is_inference() {
                 continue;
             }
+            let (capacity_rps, capacity_rps_at_limit) =
+                f.capacity.expect("the pass above fills every capacity");
+            debug_assert!(
+                capacity_rps.to_bits() == f.spec.capacity_rps().to_bits()
+                    && capacity_rps_at_limit.to_bits()
+                        == f.spec.capacity_rps_at(f.spec.quotas.limit).to_bits(),
+                "cached capacity of {id} is stale for its quotas {:?}",
+                f.spec.quotas
+            );
             let mut ready = 0u32;
             let mut starting = 0u32;
             let mut backlog = f.backlog.len();
@@ -349,14 +382,14 @@ impl ClusterSim {
                 ready_instances: ready,
                 starting_instances: starting,
                 backlog,
-                capacity_rps: f.spec.capacity_rps(),
+                capacity_rps,
                 max_idle,
                 pending_fetch_bytes: fetch_bytes.get(id).copied().unwrap_or(0),
                 quota: QuotaView {
                     request: f.spec.quotas.request,
                     limit: f.spec.quotas.limit,
                     headroom: headroom.get(id).copied().unwrap_or(SmRate::ZERO),
-                    capacity_rps_at_limit: f.spec.capacity_rps_at(f.spec.quotas.limit),
+                    capacity_rps_at_limit,
                 },
             });
         }
@@ -364,11 +397,30 @@ impl ClusterSim {
         // Hand the view back before acting: launch_instance re-fills it
         // for placement, so the buffers keep circulating.
         self.view_scratch = cluster;
+        // Shapes refused since the last successful launch. In this loop
+        // only a launch changes the view (a scale-in merely marks an
+        // instance draining, a resize is only queued), so under the
+        // `Placement` contract a refused shape stays refused until one
+        // succeeds, and skipping it costs no placement call.
+        let mut refused: Vec<PlacementShape> = Vec::new();
         for action in actions {
             match action {
                 ScaleAction::ScaleOut { func, count } => {
+                    let Some(shape) = self.funcs.get(&func).map(|f| PlacementShape::of(&f.spec))
+                    else {
+                        continue;
+                    };
                     for _ in 0..count {
-                        let _ = self.launch_instance(func, false);
+                        if refused.contains(&shape) {
+                            #[cfg(debug_assertions)]
+                            self.assert_still_refused(func, &shape);
+                            continue;
+                        }
+                        match self.launch_instance(func, false) {
+                            Ok(_) => refused.clear(),
+                            Err(LaunchError::NoPlacement) => refused.push(shape),
+                            Err(LaunchError::AdmissionRejected) => {}
+                        }
                     }
                 }
                 ScaleAction::ScaleIn { func, count } => {
@@ -410,6 +462,24 @@ impl ClusterSim {
                 }
             }
         }
+    }
+
+    /// The memo's debug oracle: re-runs the placement for a skipped
+    /// scale-out of `func` and panics if it would have placed.
+    #[cfg(debug_assertions)]
+    fn assert_still_refused(&mut self, func: FunctionId, shape: &PlacementShape) {
+        let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
+        self.fill_cluster_view(&mut view);
+        let spec = &self.funcs[&func].spec;
+        let placed = self.placement.place(spec, &view);
+        self.view_scratch = view;
+        assert!(
+            placed.is_none(),
+            "placement `{}` broke the `Placement` contract: it refused {shape:?} earlier in this \
+             tick but places `{}` ({func}) of the same shape on the same view",
+            self.placement.name(),
+            spec.name,
+        );
     }
 
     pub(crate) fn sample_metrics(&mut self) {

@@ -66,6 +66,25 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
+/// Why [`ClusterSim::launch_instance`] launched nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaunchError {
+    /// The placement found no GPUs for the spec.
+    NoPlacement,
+    /// A chosen GPU's engine refused its slot; the earlier stages were
+    /// rolled back.
+    AdmissionRejected,
+}
+
+/// The GPU task class of a function's instances.
+pub(crate) fn task_class(kind: FunctionKind) -> TaskClass {
+    if kind.is_inference() {
+        TaskClass::SloSensitive
+    } else {
+        TaskClass::BestEffort
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobPhase {
     WaitingForWorkers,
@@ -183,7 +202,7 @@ impl ClusterSim {
         for _ in 0..workers {
             match self.launch_instance(id, true) {
                 Ok(uid) => uids.push(uid),
-                Err(()) => {
+                Err(_) => {
                     // Roll back so a later retry starts clean.
                     for uid in uids {
                         self.terminate_instance(uid);
@@ -491,17 +510,23 @@ impl ClusterSim {
         }
     }
 
+    /// Places and admits one instance of the deployed function `func`,
+    /// then starts its cold start (or, `prewarmed`, makes it ready now).
+    ///
+    /// Every stage is admitted before the cold start begins, so a slot the
+    /// engine refuses rolls the launch back with no cold start recorded
+    /// and no weight fetch, promotion event or cache entry left behind.
     pub(crate) fn launch_instance(
         &mut self,
         func: FunctionId,
         prewarmed: bool,
-    ) -> Result<InstanceUid, ()> {
-        let spec = self.funcs.get(&func).ok_or(())?.spec.clone();
+    ) -> Result<InstanceUid, LaunchError> {
+        let spec = self.funcs.get(&func).expect("launch of an undeployed function").spec.clone();
         let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
         self.fill_cluster_view(&mut view);
         let placed = self.placement.place(&spec, &view);
         self.view_scratch = view;
-        let gpus = placed.ok_or(())?;
+        let gpus = placed.ok_or(LaunchError::NoPlacement)?;
         // Every address enters the node plane here, and the plane indexes
         // GPUs densely: an off-grid `gpu` would alias another node's card.
         let grid = self.spec;
@@ -518,10 +543,49 @@ impl ClusterSim {
         );
         let uid = InstanceUid(self.next_uid);
         self.next_uid += 1;
-        let class =
-            if spec.kind.is_inference() { TaskClass::SloSensitive } else { TaskClass::BestEffort };
-        let node = gpus[0].node as usize;
-        let state = if prewarmed {
+        let mut inst = Instance {
+            uid,
+            func,
+            gpus,
+            // Set below, once every stage is admitted.
+            state: InstanceState::Running,
+            pending: VecDeque::new(),
+            inflight: Vec::new(),
+            last_active: self.now,
+            deadline: None,
+        };
+        let cfg = SlotConfig {
+            class: task_class(spec.kind),
+            request: spec.quotas.request,
+            limit: spec.quotas.limit,
+            mem_bytes: spec.quotas.mem_bytes,
+        };
+        for (stage, gpu) in inst.gpus.iter().enumerate() {
+            let slot = inst.slot_id(stage);
+            if self.event_active {
+                // Close any idle gap *before* the new slot joins the
+                // roster: replayed cycles must show the pre-admission
+                // residents only, and the fresh slot's policy history must
+                // start here — exactly as under dense stepping.
+                self.nodes.slot_mut(*gpu).catch_up(
+                    self.now,
+                    self.config.quantum,
+                    self.gpu_phase_done,
+                );
+            }
+            if self.nodes.admit(*gpu, slot, cfg).is_err() {
+                // Roll back earlier stages.
+                for (s, g) in inst.gpus.iter().enumerate().take(stage) {
+                    let sid = inst.slot_id(s);
+                    self.slot_index.remove(&sid);
+                    self.nodes.evict(*g, sid);
+                }
+                return Err(LaunchError::AdmissionRejected);
+            }
+            self.slot_index.insert(slot, (uid, stage, func));
+        }
+        let node = inst.gpus[0].node as usize;
+        inst.state = if prewarmed {
             // Prewarming ships the weights ahead of time, so the node
             // cache holds the model from here on.
             if let Some(net) = self.net.as_mut() {
@@ -578,46 +642,6 @@ impl ClusterSim {
             }
             InstanceState::ColdStarting { ready_at }
         };
-        let inst = Instance {
-            uid,
-            func,
-            gpus: gpus.clone(),
-            state,
-            pending: VecDeque::new(),
-            inflight: Vec::new(),
-            last_active: self.now,
-            deadline: None,
-        };
-        for (stage, gpu) in gpus.iter().enumerate() {
-            let slot = inst.slot_id(stage);
-            let cfg = SlotConfig {
-                class,
-                request: spec.quotas.request,
-                limit: spec.quotas.limit,
-                mem_bytes: spec.quotas.mem_bytes,
-            };
-            if self.event_active {
-                // Close any idle gap *before* the new slot joins the
-                // roster: replayed cycles must show the pre-admission
-                // residents only, and the fresh slot's policy history must
-                // start here — exactly as under dense stepping.
-                self.nodes.slot_mut(*gpu).catch_up(
-                    self.now,
-                    self.config.quantum,
-                    self.gpu_phase_done,
-                );
-            }
-            if self.nodes.admit(*gpu, slot, cfg).is_err() {
-                // Roll back earlier stages.
-                for (s, g) in gpus.iter().enumerate().take(stage) {
-                    let sid = inst.slot_id(s);
-                    self.slot_index.remove(&sid);
-                    self.nodes.evict(*g, sid);
-                }
-                return Err(());
-            }
-            self.slot_index.insert(slot, (uid, stage, func));
-        }
         if let Some(f) = self.funcs.get_mut(&func) {
             f.instance_ids.push(uid);
         }

@@ -295,6 +295,11 @@ pub(crate) struct ArrivalStream {
 
 pub(crate) struct FuncState {
     pub(crate) spec: FunctionSpec,
+    /// `spec.capacity_rps()` and `spec.capacity_rps_at(spec.quotas.limit)`,
+    /// cached: both evaluate the model profile's exec-time curve, and
+    /// every controller tick needs them for every function. `None` from
+    /// deploy or a quota change until the next tick fills it.
+    pub(crate) capacity: Option<(f64, f64)>,
     /// Uids of this function's live instances, ascending (maintained at
     /// launch/terminate so routing never scans the whole cluster).
     pub(crate) instance_ids: Vec<InstanceUid>,
@@ -1109,6 +1114,7 @@ impl ClusterSim {
 pub(crate) fn new_func_state(spec: FunctionSpec, arrivals: Vec<SimTime>) -> FuncState {
     FuncState {
         spec,
+        capacity: None,
         instance_ids: Vec::new(),
         arrivals: arrivals.into(),
         stream: None,

@@ -88,6 +88,24 @@ impl ClusterView {
 /// Returns `gpus_per_instance` addresses (one per pipeline stage), or `None`
 /// when the instance cannot be placed. Implementations must respect memory
 /// capacity; quota caps (Ω/γ) are policy-specific.
+///
+/// # Contract
+///
+/// Whether `place` returns `None` may depend only on the spec's
+/// *placement shape* — its `model`, its task class (inference or
+/// training), `gpus_per_instance` and `quotas` — and on the view: never on
+/// the function's id or name, nor on the placement's own state. *Which*
+/// GPUs a successful call picks may depend on anything (Algorithm 1's
+/// workload affinity keys on the id). A call that returns `None` must not
+/// change the placement's state.
+///
+/// The simulator relies on this to make doomed scale-outs cheap: within
+/// one controller tick, once a shape has been refused, further scale-outs
+/// of that shape are skipped without calling `place` until some launch
+/// succeeds. Debug builds re-run the placement for every skip and panic,
+/// naming the placement, if it would have placed. `DiluScheduler` (as
+/// `dilu`, `packing` and `first-fit`) and `ExclusivePlacement` meet the
+/// contract.
 pub trait Placement {
     /// Picks GPUs for one new instance of `func`.
     fn place(&mut self, func: &FunctionSpec, cluster: &ClusterView) -> Option<Vec<GpuAddr>>;

@@ -490,6 +490,133 @@ fn placement_with_too_few_gpus_panics() {
     deploy_placed_by(FixedPlacement(vec![GpuAddr { node: 1, gpu: 0 }]), spec);
 }
 
+/// Emits its actions at the first controller tick, then nothing.
+struct ActOnce(Vec<ScaleAction>);
+
+impl ElasticityController for ActOnce {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
+        std::mem::take(&mut self.0)
+    }
+
+    fn name(&self) -> &str {
+        "act-once"
+    }
+}
+
+/// A BERT inference spec reserving `mem_gb` GB per GPU.
+fn bert_with_memory(id: u32, mem_gb: u64) -> FunctionSpec {
+    let mut spec = inference_spec(id, ModelId::BertBase, 4);
+    spec.name = format!("bert-{id}");
+    spec.quotas.mem_bytes = mem_gb * dilu_gpu::GB;
+    spec
+}
+
+/// A placement that ignores memory answers a full GPU; the engine then
+/// refuses the slot. The refused launch must leave nothing behind: no
+/// cold start on the function's record and, with a network plane, no
+/// weight fetch for an instance that does not exist.
+#[test]
+fn rejected_admission_leaves_no_cold_start_or_fetch() {
+    for network in [None, Some(dilu_net::NetworkConfig::default())] {
+        let lane = if network.is_some() { "network" } else { "flat" };
+        let scale_out = ActOnce(vec![ScaleAction::ScaleOut { func: FunctionId(2), count: 1 }]);
+        let mut sim = ClusterSim::new(
+            ClusterSpec::single_node(1),
+            SimConfig { network, ..SimConfig::default() },
+            Box::new(FixedPlacement(vec![GpuAddr { node: 0, gpu: 0 }])),
+            Box::new(scale_out),
+            &fair_factory(),
+        );
+        // 30 GB resident on the 40 GB GPU; the 20 GB scale-out cannot fit.
+        sim.deploy_inference(bert_with_memory(1, 30), 1, Vec::new()).unwrap();
+        sim.deploy_inference(bert_with_memory(2, 20), 0, Vec::new()).unwrap();
+        sim.run_until(SimTime::from_secs(2));
+        let audit = sim.audit();
+        let f = audit.functions.iter().find(|f| f.func == FunctionId(2)).expect("fn-2 audited");
+        assert_eq!(f.starting_instances + f.ready_instances, 0, "{lane}: nothing was admitted");
+        assert_eq!(f.cold_starts, 0, "{lane}: a refused launch recorded a cold start");
+        assert_eq!(audit.gpus[0].residents, 1, "{lane}: only the resident holds GPU 0");
+        if let Some(net) = audit.network {
+            assert_eq!(
+                (net.requested_bytes, net.active_flows, net.inflight_bytes),
+                (0, 0, 0),
+                "{lane}: a refused launch started a weight fetch"
+            );
+        }
+    }
+}
+
+/// After one shape is refused, a smaller shape that still fits is placed
+/// in the same tick: the refusal memo is per shape, not a "cluster is
+/// full" flag.
+#[test]
+fn refused_shape_does_not_block_smaller_shapes_in_the_same_tick() {
+    let actions = vec![
+        ScaleAction::ScaleOut { func: FunctionId(2), count: 2 },
+        ScaleAction::ScaleOut { func: FunctionId(3), count: 1 },
+    ];
+    let mut sim = ClusterSim::new(
+        ClusterSpec::single_node(1),
+        SimConfig::default(),
+        Box::new(FirstFit),
+        Box::new(ActOnce(actions)),
+        &fair_factory(),
+    );
+    sim.deploy_inference(bert_with_memory(1, 30), 1, Vec::new()).unwrap();
+    sim.deploy_inference(bert_with_memory(2, 20), 0, Vec::new()).unwrap();
+    sim.deploy_inference(bert_with_memory(3, 5), 0, Vec::new()).unwrap();
+    sim.run_until(SimTime::from_secs(2));
+    let audit = sim.audit();
+    let instances = |id: u32| {
+        let f = audit.functions.iter().find(|f| f.func == FunctionId(id)).expect("audited");
+        f.starting_instances + f.ready_instances
+    };
+    assert_eq!(instances(2), 0, "20 GB cannot fit next to the 30 GB resident");
+    assert_eq!(instances(3), 1, "5 GB still fits after the 20 GB shape was refused");
+}
+
+/// BROKEN: refuses odd function ids whatever the view, so its refusals
+/// depend on identity, which the `Placement` contract forbids.
+struct RefuseOddIds;
+
+impl Placement for RefuseOddIds {
+    fn place(&mut self, func: &FunctionSpec, cluster: &ClusterView) -> Option<Vec<GpuAddr>> {
+        func.id.0.is_multiple_of(2).then(|| vec![cluster.gpus[0].addr])
+    }
+
+    fn name(&self) -> &str {
+        "refuse-odd-ids"
+    }
+}
+
+/// fn-1 is refused, so the memo skips fn-2 of the same shape; the debug
+/// oracle re-runs the placement for the skip and must catch that it
+/// would have placed.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "placement `refuse-odd-ids` broke the `Placement` contract")]
+fn memo_oracle_catches_identity_dependent_refusals() {
+    let actions = vec![
+        ScaleAction::ScaleOut { func: FunctionId(1), count: 1 },
+        ScaleAction::ScaleOut { func: FunctionId(2), count: 1 },
+    ];
+    let mut sim = ClusterSim::new(
+        ClusterSpec::single_node(1),
+        SimConfig::default(),
+        Box::new(RefuseOddIds),
+        Box::new(ActOnce(actions)),
+        &fair_factory(),
+    );
+    sim.deploy_inference(bert_with_memory(1, 5), 0, Vec::new()).unwrap();
+    sim.deploy_inference(bert_with_memory(2, 5), 0, Vec::new()).unwrap();
+    sim.run_until(SimTime::from_secs(2));
+}
+
 #[test]
 fn report_contains_fragmentation_and_occupancy_series() {
     let mut sim = ClusterSim::new(

@@ -176,53 +176,90 @@ fn warm_event_core_wakes_are_allocation_free() {
     );
 }
 
-/// Warm controller ticks measured per idle fleet.
-const IDLE_TICKS: u64 = 30;
+/// Warm controller ticks measured per fleet.
+const FLEET_TICKS: u64 = 30;
 
-/// Allocations over [`IDLE_TICKS`] warm controller ticks of a fleet of
-/// `functions` idle inference functions: no instances, no arrivals and no
-/// per-function series, so a tick has no per-function work beyond
-/// building each function's scale view.
-fn idle_fleet_window_allocs(functions: u32) -> u64 {
+/// Requests one more instance of every listed function at every tick.
+struct ScaleOutEveryTick(Vec<FunctionId>);
+
+impl ElasticityController for ScaleOutEveryTick {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
+        self.0.iter().map(|&func| ScaleAction::ScaleOut { func, count: 1 }).collect()
+    }
+
+    fn name(&self) -> &str {
+        "scale-out-every-tick"
+    }
+}
+
+/// Allocations over [`FLEET_TICKS`] warm controller ticks of a 1-GPU
+/// cluster serving a fleet of `functions` same-shape inference functions
+/// with no instances, no arrivals and no per-function series, so a tick
+/// has no per-function work beyond building each function's scale view.
+///
+/// With `doomed`, a resident first takes all of the GPU's memory and the
+/// controller asks every tick for one more instance of every fleet
+/// function, none of which can be placed.
+fn fleet_window_allocs(functions: u32, doomed: bool) -> u64 {
     let config = SimConfig { function_series: false, ..SimConfig::default() };
-    let mut sim = ClusterSim::new(
-        ClusterSpec::single_node(2),
-        config,
-        Box::new(FirstFit),
-        Box::new(NullScaler),
-        &fair_factory(),
-    );
+    let cluster = ClusterSpec::single_node(1);
+    let fleet: Vec<FunctionId> = (1..=functions).map(FunctionId).collect();
+    let controller: Box<dyn ElasticityController> =
+        if doomed { Box::new(ScaleOutEveryTick(fleet.clone())) } else { Box::new(NullScaler) };
+    let mut sim = ClusterSim::new(cluster, config, Box::new(FirstFit), controller, &fair_factory());
     let model = ModelId::BertBase;
     let profile = model.profile();
     let sat = profile.inference_sat(4);
-    for id in 1..=functions {
-        let spec = FunctionSpec {
-            id: FunctionId(id),
-            name: format!("idle-{id}"),
-            model,
-            kind: FunctionKind::Inference { slo: profile.slo, batch: 4 },
-            quotas: Quotas::new(sat, sat.scale(2.0), profile.infer_mem_bytes),
-            gpus_per_instance: 1,
-        };
-        sim.deploy_inference(spec, 0, Vec::new()).unwrap();
+    let spec = |id: FunctionId, mem_bytes: u64| FunctionSpec {
+        id,
+        name: format!("fleet-{}", id.0),
+        model,
+        kind: FunctionKind::Inference { slo: profile.slo, batch: 4 },
+        quotas: Quotas::new(sat, sat.scale(2.0), mem_bytes),
+        gpus_per_instance: 1,
+    };
+    if doomed {
+        sim.deploy_inference(spec(FunctionId(0), cluster.gpu_mem_bytes), 1, Vec::new()).unwrap();
+    }
+    for &id in &fleet {
+        sim.deploy_inference(spec(id, profile.infer_mem_bytes), 0, Vec::new()).unwrap();
     }
     // The 40-sample rate windows are full after 40 ticks.
     sim.run_until(SimTime::from_secs(45));
     let before = allocs();
-    sim.run_until(SimTime::from_secs(45 + IDLE_TICKS));
+    sim.run_until(SimTime::from_secs(45 + FLEET_TICKS));
     allocs() - before
 }
 
 #[test]
 fn controller_ticks_allocate_independently_of_fleet_size() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let small = idle_fleet_window_allocs(10);
-    let large = idle_fleet_window_allocs(1_000);
+    let small = fleet_window_allocs(10, false);
+    let large = fleet_window_allocs(1_000, false);
     // A per-function copy of each rate window would cost ~1,000
     // allocations per tick here.
     assert!(
-        large <= small + 2 * IDLE_TICKS,
-        "1,000 idle functions allocated {large} times over {IDLE_TICKS} ticks, \
+        large <= small + 2 * FLEET_TICKS,
+        "1,000 idle functions allocated {large} times over {FLEET_TICKS} ticks, \
          10 idle functions {small}"
+    );
+}
+
+#[test]
+fn doomed_scale_outs_allocate_independently_of_fleet_size() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let small = fleet_window_allocs(10, true);
+    let large = fleet_window_allocs(1_000, true);
+    // Cloning each doomed function's spec (its name) would cost ~1,000
+    // allocations per tick here.
+    assert!(
+        large <= small + 2 * FLEET_TICKS,
+        "1,000 doomed scale-outs per tick allocated {large} times over {FLEET_TICKS} ticks, \
+         10 per tick {small}"
     );
 }

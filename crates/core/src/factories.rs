@@ -123,6 +123,11 @@ where
 /// Each launch of a function pops the next pinned assignment; when a
 /// function's queue is exhausted the last assignment is reused (repeat
 /// launches land on the same GPUs).
+///
+/// It fails only for unpinned functions, so whether it places depends on
+/// the function's identity, which the [`Placement`] contract forbids for
+/// scale-outs. It is therefore for fixed deployments: `run_case` pairs it
+/// with [`NullController`], which never scales out.
 #[derive(Debug, Clone, Default)]
 pub struct PinnedPlacement {
     assignments: BTreeMap<FunctionId, VecDeque<Vec<GpuAddr>>>,
