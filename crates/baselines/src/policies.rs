@@ -42,17 +42,6 @@ impl MpsPolicy {
 }
 
 impl SharePolicy for MpsPolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,
@@ -111,17 +100,6 @@ impl Default for TgsPolicy {
 }
 
 impl SharePolicy for TgsPolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,
@@ -190,17 +168,6 @@ impl Default for FastGsPolicy {
 }
 
 impl SharePolicy for FastGsPolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,

@@ -172,7 +172,6 @@ mod tests {
             backlog: 0,
             capacity_rps: 50.0,
             max_idle: SimDuration::from_secs(idle_secs),
-            pending_fetch_bytes: 0,
             quota: dilu_cluster::QuotaView::none(),
         }
     }

@@ -3,18 +3,16 @@
 //! The controller tick is the cluster's decision heartbeat: every
 //! [`SimConfig::tick`](crate::SimConfig) the control plane samples metrics,
 //! snapshots the cluster for the audit hook, builds per-function
-//! [`FunctionScaleView`]s (including vertical headroom derived from
-//! per-GPU guaranteed-SM slack), and executes the
-//! [`ElasticityController`](crate::ElasticityController)'s actions —
-//! horizontal scale-out/scale-in through the
+//! [`FunctionScaleView`]s (current and deploy-time quotas; how far they
+//! may grow is the controller's own reading of the [`ClusterView`]), and
+//! executes the [`ElasticityController`](crate::ElasticityController)'s
+//! actions — horizontal scale-out/scale-in through the
 //! [`lifecycle`](crate::lifecycle) module, and vertical
 //! [`ScaleAction::ResizeQuota`] decisions queued here behind the
 //! configured apply latency, then fanned out to every live slice on the
 //! node plane. Identical on both time models (the tick runs inside the
 //! shared controller phase), which is what keeps audit content and
 //! reports byte-identical across dense and event-driven execution.
-
-use std::collections::BTreeMap;
 
 use dilu_gpu::{SmRate, TaskClass};
 use dilu_metrics::{FragmentationSnapshot, GpuUsageSample};
@@ -282,36 +280,6 @@ impl ClusterSim {
         }
     }
 
-    /// Per-GPU guaranteed-SM slack, and per function the tightest slack
-    /// across the GPUs hosting its (non-draining) instances.
-    ///
-    /// A resize re-quotas *every* slice of the function, so a GPU hosting
-    /// `n` of them absorbs `n×` the per-slice growth — its slack is divided
-    /// by the slice count before taking the minimum.
-    fn vertical_headroom(&self, cluster: &ClusterView) -> BTreeMap<FunctionId, SmRate> {
-        let slack: BTreeMap<GpuAddr, SmRate> =
-            cluster.gpus.iter().map(|g| (g.addr, g.request_slack())).collect();
-        let mut slices: BTreeMap<(FunctionId, GpuAddr), u32> = BTreeMap::new();
-        for inst in self.instances.values() {
-            if matches!(inst.state, InstanceState::Draining) {
-                continue;
-            }
-            for gpu in &inst.gpus {
-                *slices.entry((inst.func, *gpu)).or_insert(0) += 1;
-            }
-        }
-        let mut headroom: BTreeMap<FunctionId, SmRate> = BTreeMap::new();
-        for (&(func, gpu), &count) in &slices {
-            let per_slice = slack
-                .get(&gpu)
-                .copied()
-                .unwrap_or(SmRate::ZERO)
-                .scale(1.0 / f64::from(count.max(1)));
-            headroom.entry(func).and_modify(|h| *h = h.min(per_slice)).or_insert(per_slice);
-        }
-        headroom
-    }
-
     pub(crate) fn run_controller(&mut self) {
         let mut cluster =
             std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
@@ -323,8 +291,6 @@ impl ClusterSim {
             }
         }
         let now = self.now;
-        let headroom = self.vertical_headroom(&cluster);
-        let fetch_bytes = self.pending_fetch_bytes();
         // Roll every window and fill every stale capacity cache first:
         // the views below borrow the windows for the controller call
         // instead of copying their samples.
@@ -384,11 +350,11 @@ impl ClusterSim {
                 backlog,
                 capacity_rps,
                 max_idle,
-                pending_fetch_bytes: fetch_bytes.get(id).copied().unwrap_or(0),
                 quota: QuotaView {
                     request: f.spec.quotas.request,
                     limit: f.spec.quotas.limit,
-                    headroom: headroom.get(id).copied().unwrap_or(SmRate::ZERO),
+                    profiled_request: f.profiled.0,
+                    profiled_limit: f.profiled.1,
                     capacity_rps_at_limit,
                 },
             });

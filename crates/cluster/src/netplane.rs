@@ -138,18 +138,4 @@ impl ClusterSim {
             self.events.push(t.max(now), SimEvent::NetFlowDone);
         }
     }
-
-    /// Per-function bytes still in flight on cold-start fetch flows — the
-    /// controller-visible queue-depth signal (zero without a network).
-    pub(crate) fn pending_fetch_bytes(&self) -> std::collections::BTreeMap<FunctionId, u64> {
-        let mut by_func = std::collections::BTreeMap::new();
-        if let Some(net) = self.net.as_ref() {
-            for (_, payload, remaining) in net.plane.pending() {
-                if let NetPayload::Fetch { func, .. } = payload {
-                    *by_func.entry(*func).or_insert(0) += remaining;
-                }
-            }
-        }
-        by_func
-    }
 }

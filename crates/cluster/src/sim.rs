@@ -30,6 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
+use dilu_gpu::SmRate;
 use dilu_metrics::{
     ColdStartCounter, FragmentationStats, LatencyRecorder, PhaseProfile, PhaseProfiler, RateWindow,
     ResizeCounter, SampleClock, SimPhase,
@@ -295,6 +296,9 @@ pub(crate) struct ArrivalStream {
 
 pub(crate) struct FuncState {
     pub(crate) spec: FunctionSpec,
+    /// The deploy-time `(request, limit)` quotas. Applied resizes rewrite
+    /// `spec.quotas`, never this.
+    pub(crate) profiled: (SmRate, SmRate),
     /// `spec.capacity_rps()` and `spec.capacity_rps_at(spec.quotas.limit)`,
     /// cached: both evaluate the model profile's exec-time curve, and
     /// every controller tick needs them for every function. `None` from
@@ -1113,6 +1117,7 @@ impl ClusterSim {
 
 pub(crate) fn new_func_state(spec: FunctionSpec, arrivals: Vec<SimTime>) -> FuncState {
     FuncState {
+        profiled: (spec.quotas.request, spec.quotas.limit),
         spec,
         capacity: None,
         instance_ids: Vec::new(),

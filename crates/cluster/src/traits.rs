@@ -125,10 +125,11 @@ pub struct QuotaView {
     pub request: SmRate,
     /// Current `limit` quota (the burst ceiling).
     pub limit: SmRate,
-    /// The tightest guaranteed-SM slack across the GPUs hosting this
-    /// function's instances — how far `request` can grow before some hosting
-    /// GPU's guarantees oversubscribe. Zero when no instance is deployed.
-    pub headroom: SmRate,
+    /// The deployed (profiled) `request` quota, which resizes never change:
+    /// the floor a controller shrinks back to.
+    pub profiled_request: SmRate,
+    /// The deployed (profiled) `limit` quota, which resizes never change.
+    pub profiled_limit: SmRate,
     /// One instance's serving capacity at the current `limit` quota, in RPS
     /// (the vertical analogue of
     /// [`FunctionScaleView::capacity_rps`]; controllers interpolate between
@@ -143,7 +144,8 @@ impl QuotaView {
         QuotaView {
             request: SmRate::ZERO,
             limit: SmRate::ZERO,
-            headroom: SmRate::ZERO,
+            profiled_request: SmRate::ZERO,
+            profiled_limit: SmRate::ZERO,
             capacity_rps_at_limit: 0.0,
         }
     }
@@ -171,11 +173,9 @@ pub struct FunctionScaleView<'a> {
     pub capacity_rps: f64,
     /// Idle time of the longest-idle ready instance.
     pub max_idle: SimDuration,
-    /// Bytes still in flight on this function's cold-start weight fetches
-    /// (always 0 without a [`SimConfig::network`](crate::SimConfig) plane)
-    /// — capacity that is *coming* but gated on the registry link.
-    pub pending_fetch_bytes: u64,
-    /// The vertical dimension: current quotas and per-GPU headroom.
+    /// The vertical dimension: current and profiled quotas. How far they
+    /// can grow is the controller's own reading of the [`ClusterView`]'s
+    /// per-GPU slack.
     pub quota: QuotaView,
 }
 

@@ -312,19 +312,17 @@ fn vertical_resizes_apply_and_are_counted() {
     assert_eq!(report.total_resizes(), 1);
     assert_eq!(f.cold_starts.count(), 0, "vertical scaling pays no cold start");
     let seen = seen.borrow();
-    // Before the resize the controller saw the deployed quotas plus the
-    // GPU's guaranteed-SM slack as vertical headroom.
+    // Before the resize the controller saw the deployed quotas.
     let before = seen.first().expect("ticks before the resize");
-    assert_eq!(before.request, req0);
-    assert_eq!(before.limit, lim0);
-    assert!((before.headroom.as_fraction() - (1.0 - req0.as_fraction())).abs() < 1e-9);
+    assert_eq!((before.request, before.limit), (req0, lim0));
+    assert_eq!((before.profiled_request, before.profiled_limit), (req0, lim0));
     assert!(before.capacity_rps_at_limit > 0.0);
     // Within one tick of the decision (1 ms apply latency ≪ 1 s tick)
-    // the views reflect the new quotas, and headroom shrank to match.
+    // the views reflect the new quotas, and the profiled ones stay put.
     let after = seen.last().expect("ticks after the resize");
     assert_eq!(after.request, SmRate::from_percent(80.0));
     assert_eq!(after.limit, SmRate::from_percent(90.0));
-    assert!((after.headroom.as_fraction() - 0.2).abs() < 1e-9);
+    assert_eq!((after.profiled_request, after.profiled_limit), (req0, lim0));
 }
 
 /// Re-emits the same grow every tick until the spec reflects it — the

@@ -137,8 +137,8 @@ fn warm_event_core_wakes_are_allocation_free() {
     // --- inference lane: steady Poisson arrivals through batching,
     // dispatch, completion, and latency recording. The wake path itself is
     // allocation-free; what remains is the 1 Hz controller tick, which
-    // still builds small headroom maps and per-function scale views (~10
-    // short-lived allocations per tick, 70 ticks in this window), plus
+    // still builds per-function scale views (a few short-lived
+    // allocations per tick, 70 ticks in this window), plus
     // occasional sample/latency-series doublings. The budget scales with
     // ticks, not with the ~14,000 wakes in the window.
     let mut sim = ClusterSim::new(

@@ -32,6 +32,8 @@
 //! # Ok::<(), dilu_core::ScenarioError>(())
 //! ```
 
+use std::collections::BTreeSet;
+
 use dilu_cluster::ClusterReport;
 use dilu_cluster::{
     ClusterSim, ClusterSpec, DeployError, ElasticityController, FunctionId, FunctionSpec,
@@ -170,6 +172,9 @@ pub struct ScenarioBuilder {
     controller: Option<Box<dyn ElasticityController>>,
     share_policy: Option<Box<dyn PolicyFactory>>,
     functions: Vec<FunctionEntry>,
+    /// The ids in `functions`, so a duplicate costs one lookup, not a
+    /// scan of every earlier function.
+    function_ids: BTreeSet<FunctionId>,
     horizon: SimDuration,
     drain: SimDuration,
     seed: u64,
@@ -185,6 +190,7 @@ impl Default for ScenarioBuilder {
             controller: None,
             share_policy: None,
             functions: Vec::new(),
+            function_ids: BTreeSet::new(),
             horizon: SimDuration::from_secs(60),
             drain: SimDuration::from_secs(5),
             seed: 7,
@@ -292,8 +298,8 @@ impl ScenarioBuilder {
     /// ([`arrivals`](Self::arrivals), [`initial_instances`](Self::initial_instances),
     /// [`starts_at`](Self::starts_at)) apply to this function.
     pub fn function(mut self, spec: FunctionSpec) -> Self {
-        if self.functions.iter().any(|e| e.spec.id == spec.id) && self.misuse.is_none() {
-            self.misuse = Some(ScenarioError::DuplicateFunction(spec.id));
+        if !self.function_ids.insert(spec.id) {
+            self.misuse.get_or_insert(ScenarioError::DuplicateFunction(spec.id));
         }
         let workload = if spec.kind.is_inference() {
             Workload::Inference { initial: 1, arrivals: ArrivalSource::Unset }

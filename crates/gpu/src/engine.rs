@@ -843,14 +843,15 @@ mod tests {
     }
 
     impl SharePolicy for Recorder {
-        fn allocate(
+        fn allocate_into(
             &mut self,
             _now: SimTime,
             _quantum: SimDuration,
             views: &[InstanceView],
-        ) -> Vec<Grant> {
+            out: &mut Vec<Grant>,
+        ) {
             self.seen.push(views.to_vec());
-            Vec::new()
+            out.clear();
         }
 
         fn name(&self) -> &str {

@@ -18,17 +18,6 @@ use crate::{Grant, InstanceId, InstanceView, SharePolicy, SmRate};
 pub struct FairSharePolicy;
 
 impl SharePolicy for FairSharePolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,
@@ -94,17 +83,6 @@ impl StaticPartitionPolicy {
 }
 
 impl SharePolicy for StaticPartitionPolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,

@@ -47,7 +47,7 @@ pub struct InstanceView {
     /// so after such a gap this counter advances by at most the replay cap
     /// rather than the true gap length. Policies whose decisions hinge on
     /// idle spans longer than that cap should derive idleness from the
-    /// `now` passed to [`SharePolicy::allocate`] instead.
+    /// `now` passed to [`SharePolicy::allocate_into`] instead.
     pub idle_quanta: u32,
 }
 
@@ -83,49 +83,47 @@ pub struct Grant {
 /// [`idle_history_cycles`](Self::idle_history_cycles) with its true
 /// bound; one whose behaviour depends on *unboundedly* long idle spans
 /// (e.g. "release quota after 10 s idle" counted in cycles) should track
-/// time via `now` in [`allocate`](Self::allocate), or be run under the
-/// dense time model.
+/// time via `now` in [`allocate_into`](Self::allocate_into), or be run
+/// under the dense time model.
 pub trait SharePolicy {
-    /// Computes grants for the quantum starting at `now`.
+    /// Computes grants for the quantum starting at `now` into `out`, which
+    /// the policy clears first.
     ///
-    /// Instances absent from the returned vector receive a zero grant.
-    /// Grants above an instance's demand are clamped by the engine; the sum
-    /// of grants may oversubscribe the GPU, in which case the engine shares
-    /// physical capacity proportionally to the clamped grants.
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant>;
-
-    /// [`allocate`](Self::allocate) into a caller-owned buffer (cleared
-    /// first) — the allocation-free form the engine uses on its step path,
-    /// which runs once per GPU per token cycle and dominates simulator
-    /// wall clock at cluster scale.
-    ///
-    /// The default delegates to `allocate` (one `Vec` per call), so
-    /// third-party policies keep working unchanged; every shipped policy
-    /// overrides it to write grants in place.
+    /// Instances absent from `out` receive a zero grant. Grants above an
+    /// instance's demand are clamped by the engine; the sum of grants may
+    /// oversubscribe the GPU, in which case the engine shares physical
+    /// capacity proportionally to the clamped grants. The engine calls
+    /// this once per GPU per token cycle with a buffer it reuses, which is
+    /// why grants are written in place rather than returned.
     fn allocate_into(
         &mut self,
         now: SimTime,
         quantum: SimDuration,
         views: &[InstanceView],
         out: &mut Vec<Grant>,
-    ) {
-        out.clear();
-        out.extend(self.allocate(now, quantum, views));
+    );
+
+    /// [`allocate_into`](Self::allocate_into) into a fresh vector.
+    fn allocate(
+        &mut self,
+        now: SimTime,
+        quantum: SimDuration,
+        views: &[InstanceView],
+    ) -> Vec<Grant> {
+        let mut out = Vec::new();
+        self.allocate_into(now, quantum, views, &mut out);
+        out
     }
 
     /// Notifies the policy that an instance's `<request, limit>` quotas were
     /// resized by the elasticity control plane (vertical scaling).
     ///
-    /// Quotas in [`InstanceView`]s already reflect the new values at the next
-    /// [`allocate`](Self::allocate) call; this hook exists for policies that
-    /// carry *derived* per-instance state (e.g. RCKM's last-issued grant) and
-    /// must re-clamp it so the resize takes effect within one quantum rather
-    /// than after the state decays. The default does nothing.
+    /// Quotas in [`InstanceView`]s already reflect the new values at the
+    /// next [`allocate_into`](Self::allocate_into) call; this hook exists
+    /// for policies that carry *derived* per-instance state (e.g. RCKM's
+    /// last-issued grant) and must re-clamp it so the resize takes effect
+    /// within one quantum rather than after the state decays. The default
+    /// does nothing.
     fn notify_resize(&mut self, id: InstanceId, request: SmRate, limit: SmRate) {
         let _ = (id, request, limit);
     }
@@ -144,7 +142,7 @@ pub trait SharePolicy {
     /// state converges more slowly (longer rate windows, shallower
     /// ramps, explicit idle counters) must override this with its true
     /// bound — or track long idleness via `now` in
-    /// [`allocate`](Self::allocate) as the module docs describe.
+    /// [`allocate_into`](Self::allocate_into) as the module docs describe.
     ///
     /// The default, [`IDLE_HISTORY_CYCLES`], covers every shipped
     /// policy's windows and ramps with a wide margin.
@@ -160,13 +158,15 @@ mod tests {
     struct GrantAll;
 
     impl SharePolicy for GrantAll {
-        fn allocate(
+        fn allocate_into(
             &mut self,
             _now: SimTime,
             _quantum: SimDuration,
             views: &[InstanceView],
-        ) -> Vec<Grant> {
-            views.iter().map(|v| Grant { id: v.id, smr: SmRate::FULL }).collect()
+            out: &mut Vec<Grant>,
+        ) {
+            out.clear();
+            out.extend(views.iter().map(|v| Grant { id: v.id, smr: SmRate::FULL }));
         }
 
         fn name(&self) -> &str {

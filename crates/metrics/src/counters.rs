@@ -1,4 +1,5 @@
-//! Event counters: cold starts, per-second request rates, GPU time.
+//! Event counters: cold starts, resizes, per-second request rates and the
+//! metrics sampling clock.
 
 use dilu_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -299,56 +300,6 @@ impl SampleClock {
     }
 }
 
-/// Integrates occupied-GPU count over time (GPU-seconds).
-///
-/// Feeds the paper's saved GPU time (SGT) and the Fig. 17 occupancy curves.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GpuTimeMeter {
-    last_update: SimTime,
-    current_occupied: u32,
-    gpu_time: SimDuration,
-    peak_occupied: u32,
-}
-
-impl GpuTimeMeter {
-    /// Creates a meter starting at time zero with no GPUs occupied.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Updates the occupied-GPU count effective from `now` on.
-    ///
-    /// Time between the previous update and `now` is charged at the previous
-    /// count.
-    pub fn set_occupied(&mut self, now: SimTime, occupied: u32) {
-        self.accumulate(now);
-        self.current_occupied = occupied;
-        self.peak_occupied = self.peak_occupied.max(occupied);
-    }
-
-    fn accumulate(&mut self, now: SimTime) {
-        let elapsed = now.saturating_since(self.last_update);
-        self.gpu_time += elapsed.mul_f64(f64::from(self.current_occupied));
-        self.last_update = now;
-    }
-
-    /// Total GPU time accumulated up to `now`.
-    pub fn gpu_time_until(&mut self, now: SimTime) -> SimDuration {
-        self.accumulate(now);
-        self.gpu_time
-    }
-
-    /// Highest occupied-GPU count seen so far.
-    pub fn peak_occupied(&self) -> u32 {
-        self.peak_occupied
-    }
-
-    /// The currently charged GPU count.
-    pub fn current_occupied(&self) -> u32 {
-        self.current_occupied
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,15 +425,5 @@ mod tests {
         sum.record_grow();
         sum.merge(&r);
         assert_eq!((sum.grows(), sum.shrinks(), sum.total()), (2, 2, 4));
-    }
-
-    #[test]
-    fn gpu_time_meter_integrates_piecewise() {
-        let mut m = GpuTimeMeter::new();
-        m.set_occupied(SimTime::ZERO, 4);
-        m.set_occupied(SimTime::from_secs(10), 2);
-        let total = m.gpu_time_until(SimTime::from_secs(15));
-        assert_eq!(total, SimDuration::from_secs(4 * 10 + 2 * 5));
-        assert_eq!(m.peak_occupied(), 4);
     }
 }

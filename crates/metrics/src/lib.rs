@@ -27,7 +27,7 @@ mod fragmentation;
 mod latency;
 mod profiler;
 
-pub use counters::{ColdStartCounter, GpuTimeMeter, RateWindow, ResizeCounter, SampleClock};
+pub use counters::{ColdStartCounter, RateWindow, ResizeCounter, SampleClock};
 pub use fragmentation::{FragmentationSnapshot, FragmentationStats, GpuUsageSample};
 pub use latency::LatencyRecorder;
 pub use profiler::{PhaseProfile, PhaseProfiler, PhaseStat, PhaseTimer, SimPhase, PHASE_COUNT};

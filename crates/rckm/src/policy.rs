@@ -159,17 +159,6 @@ impl RckmPolicy {
 }
 
 impl SharePolicy for RckmPolicy {
-    fn allocate(
-        &mut self,
-        now: SimTime,
-        quantum: SimDuration,
-        views: &[InstanceView],
-    ) -> Vec<Grant> {
-        let mut out = Vec::new();
-        self.allocate_into(now, quantum, views, &mut out);
-        out
-    }
-
     fn allocate_into(
         &mut self,
         _now: SimTime,

@@ -54,8 +54,8 @@ impl Default for CoScalerConfig {
 /// quotas (millisecond apply latency, no cold start) up to the tightest
 /// hosting GPU's guaranteed-SM slack and the Ω cap, and only emits
 /// [`ScaleAction::ScaleOut`] for demand beyond that. On the way down it
-/// shrinks grown quotas back toward the profiled baseline before it
-/// considers terminating instances.
+/// shrinks grown quotas back toward the profiled quotas the view carries
+/// before it considers terminating instances.
 ///
 /// # Examples
 ///
@@ -69,19 +69,12 @@ impl Default for CoScalerConfig {
 #[derive(Debug, Clone)]
 pub struct CoScaler {
     config: CoScalerConfig,
-    /// First-seen (profiled) `<request, limit>` per function — the shrink
-    /// floor, and the source of the limit/request growth ratio.
-    ///
-    /// A `BTreeMap` (like every map in the per-tick budget below): the
-    /// event-driven core pins byte-identical reports across runs, so the
-    /// controller must never iterate hash-ordered state.
-    baselines: BTreeMap<FunctionId, (SmRate, SmRate)>,
 }
 
 impl CoScaler {
     /// Creates a co-scaler with the given tunables.
     pub fn new(config: CoScalerConfig) -> Self {
-        CoScaler { config, baselines: BTreeMap::new() }
+        CoScaler { config }
     }
 
     /// The configuration in effect.
@@ -109,8 +102,7 @@ impl CoScaler {
 
     /// The vertical move meeting `wanted_per_instance` RPS, if any:
     /// `(new_request, estimated_capacity_after)`. `headroom` is the
-    /// effective vertical room — the view's snapshot already clamped by
-    /// this tick's running per-GPU budget.
+    /// vertical room left in this tick's running per-GPU budget.
     fn grow_quota(
         &self,
         f: &FunctionScaleView,
@@ -132,15 +124,10 @@ impl CoScaler {
 
     /// New limit for a resized request: preserve the profiled
     /// limit/request ratio, never shrinking the limit on a grow.
-    fn limit_for(
-        &self,
-        f: &FunctionScaleView,
-        baseline: (SmRate, SmRate),
-        request: SmRate,
-    ) -> SmRate {
-        let (base_req, base_lim) = baseline;
-        let ratio = if base_req.as_fraction() > 1e-9 {
-            base_lim.as_fraction() / base_req.as_fraction()
+    fn limit_for(f: &FunctionScaleView, request: SmRate) -> SmRate {
+        let q = &f.quota;
+        let ratio = if q.profiled_request.as_fraction() > 1e-9 {
+            q.profiled_limit.as_fraction() / q.profiled_request.as_fraction()
         } else {
             2.0
         };
@@ -152,11 +139,10 @@ impl CoScaler {
         }
     }
 
-    fn decide(&mut self, f: &FunctionScaleView, headroom: SmRate) -> Vec<ScaleAction> {
+    fn decide(&self, f: &FunctionScaleView, headroom: SmRate) -> Vec<ScaleAction> {
         if !f.kind.is_inference() {
             return Vec::new();
         }
-        let baseline = *self.baselines.entry(f.func).or_insert((f.quota.request, f.quota.limit));
         let cfg = self.config.horizontal;
         let deployed = f.ready_instances + f.starting_instances;
         if deployed == 0 {
@@ -196,7 +182,7 @@ impl CoScaler {
                 actions.push(ScaleAction::ResizeQuota {
                     func: f.func,
                     request: grown,
-                    limit: self.limit_for(f, baseline, grown),
+                    limit: Self::limit_for(f, grown),
                 });
             }
             let total_after = capacity_after * f64::from(deployed);
@@ -209,11 +195,13 @@ impl CoScaler {
             }
             return actions;
         }
-        // Quiet side. Shrink grown quotas back toward the baseline before
-        // touching instance counts — the reverse of the grow order. Bursty
-        // traffic keeps recent samples above capacity even when the mean is
-        // low, so a shrink additionally requires a fully-subdued window.
-        if above == 0 && window.len() >= cfg.phi_in && f.quota.request > baseline.0 {
+        // Quiet side. Shrink grown quotas back toward the profiled ones
+        // before touching instance counts — the reverse of the grow order.
+        // Bursty traffic keeps recent samples above capacity even when the
+        // mean is low, so a shrink additionally requires a fully-subdued
+        // window.
+        let floor = f.quota.profiled_request;
+        if above == 0 && window.len() >= cfg.phi_in && f.quota.request > floor {
             let mean = window.iter().sum::<u64>() as f64 / window.len().max(1) as f64;
             let wanted = (mean * self.config.target_headroom) / f64::from(deployed);
             let slope = Self::capacity_slope(f);
@@ -222,7 +210,7 @@ impl CoScaler {
                 let target = SmRate::from_fraction(
                     (f.quota.request.as_fraction() - surplus / slope).max(0.0),
                 )
-                .max(baseline.0);
+                .max(floor);
                 // Require the window to actually fit at the lower quota and
                 // a non-trivial step (≥ 1% of the card) to avoid churn.
                 let capacity_at_target =
@@ -236,7 +224,7 @@ impl CoScaler {
                     return vec![ScaleAction::ResizeQuota {
                         func: f.func,
                         request: target,
-                        limit: self.limit_for(f, baseline, target),
+                        limit: Self::limit_for(f, target),
                     }];
                 }
             }
@@ -254,12 +242,13 @@ impl ElasticityController for CoScaler {
         functions: &[FunctionScaleView],
         cluster: &ClusterView,
     ) -> Vec<ScaleAction> {
-        // Per-tick vertical budget: the view's headroom is a snapshot taken
-        // before any of this tick's decisions, so grows emitted for one
-        // function must be deducted from the slack of the GPUs it shares
-        // before the next function sizes its own grow — otherwise two
-        // functions bursting in the same tick both claim the same SMs and
-        // the "guaranteed" requests oversubscribe the card.
+        // Per-tick vertical budget: each GPU's guaranteed-SM slack, from
+        // which the grows emitted for one function are deducted before the
+        // next function sizes its own grow — otherwise two functions
+        // bursting in the same tick both claim the same SMs and the
+        // "guaranteed" requests oversubscribe the card. A resize re-quotas
+        // every slice of a function, draining ones included, so a GPU
+        // hosting `n` of them offers each slice `1/n` of its slack.
         let mut slack: BTreeMap<GpuAddr, f64> =
             cluster.gpus.iter().map(|g| (g.addr, g.request_slack().as_fraction())).collect();
         let mut slices: BTreeMap<(FunctionId, GpuAddr), f64> = BTreeMap::new();
@@ -283,10 +272,13 @@ impl ElasticityController for CoScaler {
                 .iter()
                 .map(|(gpu, n)| slack.get(gpu).copied().unwrap_or(0.0) / n.max(1.0))
                 .fold(f64::INFINITY, f64::min);
-            let mut headroom = f.quota.headroom;
-            if budget.is_finite() {
-                headroom = headroom.min(SmRate::from_fraction(budget.max(0.0)));
-            }
+            // No hosted slice means nothing is deployed, and `decide`
+            // returns before it reads the headroom.
+            let headroom = if budget.is_finite() {
+                SmRate::from_fraction(budget.max(0.0))
+            } else {
+                SmRate::ZERO
+            };
             let decided = self.decide(f, headroom);
             for action in &decided {
                 if let ScaleAction::ResizeQuota { request, .. } = action {
@@ -313,7 +305,8 @@ impl ElasticityController for CoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dilu_cluster::{FunctionKind, QuotaView};
+    use dilu_cluster::{FunctionKind, GpuView, QuotaView, ResidentInfo};
+    use dilu_gpu::TaskClass;
     use dilu_sim::SimDuration;
 
     fn view(window: &[u64], ready: u32, quota: QuotaView) -> FunctionScaleView<'_> {
@@ -326,17 +319,37 @@ mod tests {
             backlog: 0,
             capacity_rps: 50.0,
             max_idle: SimDuration::ZERO,
-            pending_fetch_bytes: 0,
             quota,
         }
     }
 
-    fn quota(request: f64, limit: f64, headroom: f64, cap_at_limit: f64) -> QuotaView {
+    /// Quotas at their profiled values.
+    fn quota(request: f64, limit: f64, cap_at_limit: f64) -> QuotaView {
         QuotaView {
             request: SmRate::from_percent(request),
             limit: SmRate::from_percent(limit),
-            headroom: SmRate::from_percent(headroom),
+            profiled_request: SmRate::from_percent(request),
+            profiled_limit: SmRate::from_percent(limit),
             capacity_rps_at_limit: cap_at_limit,
+        }
+    }
+
+    fn resident(id: u32, request: f64) -> ResidentInfo {
+        ResidentInfo {
+            func: FunctionId(id),
+            class: TaskClass::SloSensitive,
+            request: SmRate::from_percent(request),
+            limit: SmRate::from_percent(2.0 * request),
+            mem_bytes: dilu_gpu::GB,
+        }
+    }
+
+    fn gpu(g: u32, residents: Vec<ResidentInfo>) -> GpuView {
+        GpuView {
+            addr: GpuAddr { node: 0, gpu: g },
+            mem_capacity: 40 * dilu_gpu::GB,
+            mem_reserved: residents.len() as u64 * dilu_gpu::GB,
+            residents,
         }
     }
 
@@ -347,8 +360,14 @@ mod tests {
         w
     }
 
-    fn tick(scaler: &mut CoScaler, v: FunctionScaleView) -> Vec<ScaleAction> {
-        let cluster = ClusterView { gpus: Vec::new() };
+    /// One tick with `v`'s slice on a single GPU whose request slack is
+    /// `headroom` percent (another resident holds the rest).
+    fn tick(scaler: &mut CoScaler, v: FunctionScaleView, headroom: f64) -> Vec<ScaleAction> {
+        let request = v.quota.request.as_fraction() * 100.0;
+        let other = (100.0 - request - headroom).max(0.0);
+        let cluster = ClusterView {
+            gpus: vec![gpu(0, vec![resident(v.func.0, request), resident(u32::MAX, other)])],
+        };
         scaler.on_tick(SimTime::from_secs(60), &[v], &cluster)
     }
 
@@ -356,7 +375,7 @@ mod tests {
     fn burst_with_headroom_resizes_instead_of_scaling_out() {
         let mut s = CoScaler::new(CoScalerConfig::default());
         // 20%→40% quotas, 60% slack on the GPU, capacity doubling at limit.
-        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 100.0)), 60.0);
         assert_eq!(actions.len(), 1, "{actions:?}");
         let ScaleAction::ResizeQuota { request, limit, .. } = actions[0] else {
             panic!("expected a resize, got {:?}", actions[0]);
@@ -375,19 +394,19 @@ mod tests {
         // 8 hot seconds: above φ_vertical (5) but far below φ_out (20).
         let mut w = vec![10u64; 32];
         w.extend([160u64; 8]);
-        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 100.0)), 60.0);
         assert_eq!(actions.len(), 1, "{actions:?}");
         assert!(matches!(actions[0], ScaleAction::ResizeQuota { .. }), "{actions:?}");
         // Same burst with zero vertical headroom: still no cold start — the
         // horizontal dimension stays lazy below φ_out.
-        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 0.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 1, quota(20.0, 40.0, 100.0)), 0.0);
         assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]
     fn burst_without_headroom_falls_back_to_scale_out() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 0.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 100.0)), 0.0);
         assert_eq!(actions.len(), 1, "{actions:?}");
         let ScaleAction::ScaleOut { count, .. } = actions[0] else {
             panic!("expected scale out, got {:?}", actions[0]);
@@ -400,7 +419,7 @@ mod tests {
     fn partial_headroom_combines_both_dimensions() {
         let mut s = CoScaler::new(CoScalerConfig::default());
         // Only 10% slack: vertical buys ~25 rps, the rest must scale out.
-        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 10.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 100.0)), 10.0);
         assert_eq!(actions.len(), 2, "{actions:?}");
         assert!(matches!(actions[0], ScaleAction::ResizeQuota { .. }), "{actions:?}");
         assert!(matches!(actions[1], ScaleAction::ScaleOut { .. }), "{actions:?}");
@@ -411,7 +430,7 @@ mod tests {
         let config =
             CoScalerConfig { max_request: SmRate::from_percent(25.0), ..CoScalerConfig::default() };
         let mut s = CoScaler::new(config);
-        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 100.0)), 60.0);
         let ScaleAction::ResizeQuota { request, .. } = actions[0] else {
             panic!("expected a resize, got {:?}", actions[0]);
         };
@@ -422,66 +441,71 @@ mod tests {
         );
     }
 
+    /// A view whose quotas grew to 60%/120% from the profiled 20%/40%,
+    /// with demand collapsed to ~5 rps.
+    fn grown_and_quiet(window: &[u64]) -> FunctionScaleView<'_> {
+        let quota = QuotaView {
+            request: SmRate::from_percent(60.0),
+            limit: SmRate::from_percent(120.0),
+            ..quota(20.0, 40.0, 90.0)
+        };
+        FunctionScaleView { capacity_rps: 80.0, ..view(window, 2, quota) }
+    }
+
     #[test]
     fn quiet_window_shrinks_grown_quotas_before_scaling_in() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        // Record the 20%/40% baseline.
-        tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
-        // Later: quotas grown to 60%, demand collapsed to ~5 rps.
-        let mut grown = view(&[5u64; 40], 2, quota(60.0, 120.0, 20.0, 90.0));
-        grown.capacity_rps = 80.0;
-        let actions = tick(&mut s, grown);
+        // A burst at the profiled quotas, then a quiet window after a grow.
+        tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 100.0)), 60.0);
+        let actions = tick(&mut s, grown_and_quiet(&[5u64; 40]), 20.0);
         assert_eq!(actions.len(), 1, "{actions:?}");
         let ScaleAction::ResizeQuota { request, limit, .. } = actions[0] else {
             panic!("expected a shrink, got {:?}", actions[0]);
         };
-        assert_eq!(request, SmRate::from_percent(20.0), "shrink floors at the baseline");
+        assert_eq!(request, SmRate::from_percent(20.0), "shrink floors at the profiled request");
         assert_eq!(limit, SmRate::from_percent(40.0));
     }
 
     #[test]
-    fn at_baseline_quotas_horizontal_scale_in_applies() {
+    fn the_shrink_floor_is_the_profiled_quota_not_the_first_seen_one() {
+        // A fresh co-scaler whose first view already shows grown quotas
+        // still shrinks to the profiled 20%, not to the 60% it first saw.
         let mut s = CoScaler::new(CoScalerConfig::default());
-        tick(&mut s, view(&hot_window(), 1, quota(20.0, 40.0, 60.0, 100.0)));
-        // Back at baseline quotas with 2 instances and a long quiet window.
+        let actions = tick(&mut s, grown_and_quiet(&[5u64; 40]), 20.0);
+        let [ScaleAction::ResizeQuota { request, limit, .. }] = actions[..] else {
+            panic!("expected one shrink, got {actions:?}");
+        };
+        assert_eq!(request, SmRate::from_percent(20.0));
+        assert_eq!(limit, SmRate::from_percent(40.0));
+    }
+
+    #[test]
+    fn at_profiled_quotas_horizontal_scale_in_applies() {
+        let mut s = CoScaler::new(CoScalerConfig::default());
+        // At the profiled quotas with 2 instances and a long quiet window.
         let mut w = vec![80u64; 5];
         w.extend([20u64; 35]);
-        let actions = tick(&mut s, view(&w, 2, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&w, 2, quota(20.0, 40.0, 100.0)), 60.0);
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
     }
 
     #[test]
     fn scales_to_zero_like_the_lazy_scaler() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let actions = tick(&mut s, view(&[0u64; 40], 1, quota(20.0, 40.0, 60.0, 100.0)));
+        let actions = tick(&mut s, view(&[0u64; 40], 1, quota(20.0, 40.0, 100.0)), 60.0);
         assert_eq!(actions, vec![ScaleAction::ScaleIn { func: FunctionId(1), count: 1 }]);
     }
 
     #[test]
     fn concurrent_bursts_share_the_per_gpu_headroom_budget() {
-        use dilu_cluster::{GpuView, ResidentInfo};
-        use dilu_gpu::TaskClass;
         // Two functions on one GPU, 20% request each → 60% guaranteed slack.
         // Both burst in the same tick; their combined grows must fit the
         // slack instead of both claiming all of it.
-        let resident = |id: u32| ResidentInfo {
-            func: FunctionId(id),
-            class: TaskClass::SloSensitive,
-            request: SmRate::from_percent(20.0),
-            limit: SmRate::from_percent(40.0),
-            mem_bytes: dilu_gpu::GB,
-        };
-        let cluster = ClusterView {
-            gpus: vec![GpuView {
-                addr: GpuAddr::default(),
-                mem_capacity: 40 * dilu_gpu::GB,
-                mem_reserved: 2 * dilu_gpu::GB,
-                residents: vec![resident(1), resident(2)],
-            }],
-        };
+        let cluster =
+            ClusterView { gpus: vec![gpu(0, vec![resident(1, 20.0), resident(2, 20.0)])] };
         let mut s = CoScaler::new(CoScalerConfig::default());
         let hot = hot_window();
-        let mut f1 = view(&hot, 1, quota(20.0, 40.0, 60.0, 100.0));
+        let mut f1 = view(&hot, 1, quota(20.0, 40.0, 100.0));
         let mut f2 = f1.clone();
         f2.func = FunctionId(2);
         let actions = s.on_tick(SimTime::from_secs(60), &[f1.clone(), f2.clone()], &cluster);
@@ -500,18 +524,8 @@ mod tests {
         // And the pipelined case: one function with two slices on the GPU
         // can only grow by half the slack per slice.
         f1.func = FunctionId(3);
-        f1.quota.headroom = SmRate::from_percent(60.0);
-        let two_slices = ClusterView {
-            gpus: vec![GpuView {
-                addr: GpuAddr::default(),
-                mem_capacity: 40 * dilu_gpu::GB,
-                mem_reserved: 2 * dilu_gpu::GB,
-                residents: vec![
-                    ResidentInfo { func: FunctionId(3), ..resident(3) },
-                    ResidentInfo { func: FunctionId(3), ..resident(3) },
-                ],
-            }],
-        };
+        let two_slices =
+            ClusterView { gpus: vec![gpu(0, vec![resident(3, 20.0), resident(3, 20.0)])] };
         let actions = s.on_tick(SimTime::from_secs(60), &[f1], &two_slices);
         let ScaleAction::ResizeQuota { request, .. } = actions[0] else {
             panic!("expected a resize, got {:?}", actions[0]);
@@ -529,29 +543,17 @@ mod tests {
         // requires every controller decision (including multi-function,
         // multi-GPU budget sharing) to be a pure function of its inputs —
         // no hash-iteration order may leak into action order or sizing.
-        use dilu_cluster::{GpuView, ResidentInfo};
-        use dilu_gpu::TaskClass;
-        let resident = |id: u32| ResidentInfo {
-            func: FunctionId(id),
-            class: TaskClass::SloSensitive,
-            request: SmRate::from_percent(15.0),
-            limit: SmRate::from_percent(30.0),
-            mem_bytes: dilu_gpu::GB,
-        };
         let cluster = ClusterView {
             gpus: (0..4)
-                .map(|g| GpuView {
-                    addr: GpuAddr { node: 0, gpu: g },
-                    mem_capacity: 40 * dilu_gpu::GB,
-                    mem_reserved: 3 * dilu_gpu::GB,
-                    residents: vec![resident(g), resident(g + 1), resident(g + 2)],
+                .map(|g| {
+                    gpu(g, vec![resident(g, 15.0), resident(g + 1, 15.0), resident(g + 2, 15.0)])
                 })
                 .collect(),
         };
         let hot = hot_window();
         let views: Vec<FunctionScaleView> = (0..6)
             .map(|id| {
-                let mut v = view(&hot, 1, quota(15.0, 30.0, 55.0, 100.0));
+                let mut v = view(&hot, 1, quota(15.0, 30.0, 100.0));
                 v.func = FunctionId(id);
                 v
             })
@@ -568,17 +570,17 @@ mod tests {
     #[test]
     fn training_functions_are_ignored() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let mut v = view(&[100; 40], 1, quota(20.0, 40.0, 60.0, 100.0));
+        let mut v = view(&[100; 40], 1, quota(20.0, 40.0, 100.0));
         v.kind = FunctionKind::Training { workers: 2, iterations: 10 };
-        assert!(tick(&mut s, v).is_empty());
+        assert!(tick(&mut s, v, 60.0).is_empty());
     }
 
     #[test]
     fn zero_instances_with_backlog_cold_starts() {
         let mut s = CoScaler::new(CoScalerConfig::default());
-        let mut v = view(&[0; 40], 0, quota(20.0, 40.0, 0.0, 100.0));
+        let mut v = view(&[0; 40], 0, quota(20.0, 40.0, 100.0));
         v.backlog = 3;
-        let actions = tick(&mut s, v);
+        let actions = tick(&mut s, v, 0.0);
         assert_eq!(actions, vec![ScaleAction::ScaleOut { func: FunctionId(1), count: 1 }]);
     }
 }

@@ -140,7 +140,6 @@ mod tests {
             backlog,
             capacity_rps: 50.0,
             max_idle: SimDuration::ZERO,
-            pending_fetch_bytes: 0,
             quota: dilu_cluster::QuotaView::none(),
         }
     }

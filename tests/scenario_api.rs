@@ -3,7 +3,7 @@
 //! every `SystemKind` preset composes exactly what the pre-redesign closed
 //! composition did.
 
-use dilu::cluster::{ClusterReport, ClusterSim, ClusterSpec, DeployError, SimConfig};
+use dilu::cluster::{ClusterReport, ClusterSim, ClusterSpec, DeployError, FunctionId, SimConfig};
 use dilu::core::experiments;
 use dilu::core::{
     build_sim, funcs, Registry, Scenario, ScenarioBuilder, ScenarioConfig, ScenarioError,
@@ -54,15 +54,20 @@ fn workload_misuse_is_recorded_and_reported() {
         .build();
     assert!(matches!(err, Err(ScenarioError::MissingArrivals(_))), "{err:?}");
 
-    // Duplicate function ids.
-    let err = SystemKind::Dilu
-        .builder()
-        .function(funcs::inference_function(1, ModelId::BertBase))
-        .arrival_times(Vec::new())
-        .function(funcs::inference_function(1, ModelId::Vgg19))
-        .arrival_times(Vec::new())
-        .build();
-    assert!(matches!(err, Err(ScenarioError::DuplicateFunction(_))), "{err:?}");
+    // Duplicate function ids, adjacent (1, 1) or not (1, 2, 1).
+    for ids in [&[1, 1][..], &[1, 2, 1]] {
+        let mut builder = SystemKind::Dilu.builder();
+        for &id in ids {
+            builder = builder
+                .function(funcs::inference_function(id, ModelId::Vgg19))
+                .arrival_times(Vec::new());
+        }
+        let err = builder.build();
+        assert!(
+            matches!(err, Err(ScenarioError::DuplicateFunction(FunctionId(1)))),
+            "{ids:?}: {err:?}"
+        );
+    }
 }
 
 #[test]
