@@ -59,7 +59,7 @@ fn churn(k: usize, rounds: u64) -> (f64, u64) {
     let started = Instant::now();
     let mut tag = k as u64;
     for _ in 0..rounds {
-        let next = plane.finish_instants().min().expect("storm is non-empty");
+        let next = plane.next_finish().expect("storm is non-empty");
         now = next.max(now);
         let done = plane.take_due(now);
         // Replace every departed flow so the storm holds size k.

@@ -13,9 +13,9 @@
 //! queued only when the bytes land. Both time models drive the plane
 //! through the same [`process_net_phase`](ClusterSim::process_net_phase)
 //! at quantum-grid instants — the dense stepper polls it every quantum,
-//! the event core wakes on [`SimEvent::NetFlowDone`] at flow finish
-//! instants — and polling with nothing due is a strict no-op, so reports
-//! stay byte-identical across models.
+//! the event core wakes on one [`SimEvent::NetFlowDone`] kept armed at the
+//! plane's earliest finish — and polling with nothing due is a strict
+//! no-op, so reports stay byte-identical across models.
 
 use dilu_models::ModelId;
 use dilu_net::{ModelCache, NetPlane, NetworkConfig};
@@ -121,10 +121,13 @@ impl ClusterSim {
         (promote, flows_done)
     }
 
-    /// Re-arms the event core after a flow-plane membership change: every
-    /// active flow's (re-shared) finish instant gets a
-    /// [`SimEvent::NetFlowDone`] wake. Stale instants from earlier shares
-    /// fire as strict no-ops, so over-pushing is harmless.
+    /// Re-arms the event core after a flow-plane membership change: the
+    /// single [`SimEvent::NetFlowDone`] wake moves to the plane's (re-shared)
+    /// earliest finish. As in `schedule_deadline`, a moved instant cancels
+    /// the armed wake and pushes a new one, and an unmoved one costs
+    /// nothing; with no flow left the wake is withdrawn. Only the earliest
+    /// finish needs a wake: every later one is re-derived after the
+    /// membership change that instant brings.
     pub(crate) fn sync_net_events(&mut self) {
         if !self.event_active {
             return;
@@ -132,10 +135,16 @@ impl ClusterSim {
         let Some(net) = self.net.as_ref() else {
             return;
         };
-        let now = self.now;
-        let finishes: Vec<SimTime> = net.plane.finish_instants().collect();
-        for t in finishes {
-            self.events.push(t.max(now), SimEvent::NetFlowDone);
+        let due = net.plane.next_finish().map(|t| t.max(self.now));
+        if self.net_wake.map(|(at, _)| at) == due {
+            return;
+        }
+        if let Some((_, token)) = self.net_wake.take() {
+            self.events.cancel(token);
+        }
+        if let Some(at) = due {
+            let token = self.events.push_cancellable(at, SimEvent::NetFlowDone);
+            self.net_wake = Some((at, token));
         }
     }
 }

@@ -20,14 +20,19 @@ use dilu_sim::{SimDuration, SimTime};
 
 use crate::{ClusterSpec, GpuAddr, PolicyFactory};
 
-// The idle-replay cap is the share policy's own convergence bound
-// (`SharePolicy::idle_history_cycles`): policy state is a fixed point once
-// every kernel-rate window has filled with zeros and every multiplicative
-// grant ramp has hit its ceiling, so replaying more trailing idle cycles
-// than that cannot change any subsequent grant. Each `GpuSlot` asks its
-// policy rather than assuming a constant — a policy with a longer memory
-// (wider window, shallower ramp) raises its own cap instead of silently
-// breaking the event-driven ≡ dense equivalence.
+// The idle-replay cap is the share policy's own convergence bound from any
+// state (`SharePolicy::idle_history_cycles`, read once on the fresh
+// policy): policy state is a fixed point once every kernel-rate window has
+// filled with zeros and every multiplicative grant ramp has hit its
+// ceiling, so replaying more trailing idle cycles than that cannot change
+// any subsequent grant. Each `GpuSlot` asks its policy rather than
+// assuming a constant — a policy with a longer memory (wider window,
+// shallower ramp) raises its own cap instead of silently breaking the
+// event-driven ≡ dense equivalence. Within the cap, the replay itself
+// stops at the policy's fixed point (`GpuEngine::idle_fastforward`), so a
+// policy that settles early costs a few cycles, not the cap. The cap is
+// not re-read later: a policy at its fixed point reads 0, a bound that
+// covers only the views it last saw, not an instance admitted since.
 
 /// One GPU of the node plane: the engine, its share policy, and the
 /// event-core bookkeeping that keeps skipped quanta invisible.
@@ -41,15 +46,18 @@ pub(crate) struct GpuSlot {
     /// The event core uses the gap to this instant to replay skipped idle
     /// cycles into the share policy.
     pub(crate) last_step: Option<SimTime>,
+    /// The most idle cycles one replay presents: the fresh policy's
+    /// [`idle_history_cycles`], at least 1.
+    ///
+    /// [`idle_history_cycles`]: dilu_gpu::SharePolicy::idle_history_cycles
+    replay_cap: u64,
 }
 
 impl GpuSlot {
     /// Advances this GPU by the quantum starting at `now`, first replaying
-    /// any skipped idle cycles into its share policy (capped by the
-    /// policy's own [`idle_history_cycles`] bound) so derived policy state
-    /// evolves as under dense stepping.
-    ///
-    /// [`idle_history_cycles`]: dilu_gpu::SharePolicy::idle_history_cycles
+    /// any skipped idle cycles into its share policy (at most
+    /// `replay_cap` of them) so derived policy state evolves as under
+    /// dense stepping.
     pub(crate) fn advance(&mut self, now: SimTime, quantum: SimDuration, out: &mut StepOutcome) {
         let gap_cycles = match self.last_step {
             Some(last) => {
@@ -63,7 +71,7 @@ impl GpuSlot {
             None => now.as_micros() / quantum.as_micros(),
         };
         if gap_cycles > 0 {
-            let replay = gap_cycles.min(self.policy.idle_history_cycles().max(1));
+            let replay = gap_cycles.min(self.replay_cap);
             let from = now - quantum * replay;
             self.engine.idle_fastforward(from, replay, self.policy.as_mut());
         }
@@ -97,7 +105,7 @@ impl GpuSlot {
             return;
         }
         let gap_cycles = (through - expected).as_micros() / quantum.as_micros() + 1;
-        let replay = gap_cycles.min(self.policy.idle_history_cycles().max(1));
+        let replay = gap_cycles.min(self.replay_cap);
         let from = through - quantum * (replay - 1);
         self.engine.idle_fastforward(from, replay, self.policy.as_mut());
         self.last_step = Some(through);
@@ -130,11 +138,15 @@ impl NodePlane {
         policy_factory: &dyn PolicyFactory,
     ) -> Self {
         let gpus = (0..spec.total_gpus())
-            .map(|_| GpuSlot {
-                engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
-                policy: policy_factory.make(),
-                used_accum: 0.0,
-                last_step: None,
+            .map(|_| {
+                let policy = policy_factory.make();
+                GpuSlot {
+                    engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
+                    replay_cap: policy.idle_history_cycles().max(1),
+                    policy,
+                    used_accum: 0.0,
+                    last_step: None,
+                }
             })
             .collect();
         NodePlane {

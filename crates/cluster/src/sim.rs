@@ -180,9 +180,9 @@ pub enum SimEvent {
     /// A scheduled (or retried) training job reaches its submission time.
     TrainingSubmit,
     /// At least one network flow (weight fetch or activation transfer)
-    /// reaches its finish instant. Pushed after every flow-plane
-    /// membership change for every active flow; instants stale by a later
-    /// re-share fire as strict no-ops.
+    /// reaches its finish instant. One cancellable wake is kept armed at
+    /// the flow plane's earliest finish and moved after every membership
+    /// change that moves that instant, so it never fires stale.
     NetFlowDone,
 }
 
@@ -382,6 +382,9 @@ pub struct ClusterSim {
     /// The out-of-heap [`SimEvent::GpuQuantum`] chain: the next
     /// one-quantum-ahead wake, if any.
     pub(crate) next_quantum_wake: Option<SimTime>,
+    /// The armed [`SimEvent::NetFlowDone`] wake (instant and cancellation
+    /// token) at the flow plane's earliest finish, if any flow is active.
+    pub(crate) net_wake: Option<(SimTime, dilu_sim::EventToken)>,
     /// Instances in `Draining` state (guards the reap scan).
     pub(crate) draining_count: u32,
     /// `true` only inside an event-driven `run_until` — internal mutations
@@ -483,6 +486,7 @@ impl ClusterSim {
             events: EventQueue::with_granularity(config.quantum),
             dirty: Vec::new(),
             next_quantum_wake: None,
+            net_wake: None,
             draining_count: 0,
             event_active: false,
             gpu_phase_done: false,
@@ -671,12 +675,13 @@ impl ClusterSim {
             self.now = end;
         }
         // The queue is rebuilt from state on the next entry; outstanding
-        // deadline tokens die with it.
+        // deadline and network-wake tokens die with it.
         self.events.clear();
         for inst in self.instances.values_mut() {
             inst.deadline = None;
         }
         self.next_quantum_wake = None;
+        self.net_wake = None;
     }
 
     /// Rebuilds the event queue (and the busy/dirty scratch sets) from the
@@ -688,6 +693,7 @@ impl ClusterSim {
             inst.deadline = None;
         }
         self.next_quantum_wake = None;
+        self.net_wake = None;
         self.events.reserve(self.instances.len() + self.funcs.len() + 4);
         self.nodes.rebuild_busy();
         self.dirty =
@@ -725,13 +731,7 @@ impl ClusterSim {
             let due = self.grid_ceil(ready_at).max(self.now);
             self.events.push(due, SimEvent::ColdStartReady(uid));
         }
-        if let Some(net) = self.net.as_ref() {
-            let now = self.now;
-            let finishes: Vec<SimTime> = net.plane.finish_instants().collect();
-            for t in finishes {
-                self.events.push(t.max(now), SimEvent::NetFlowDone);
-            }
-        }
+        self.sync_net_events();
         if self.nodes.has_busy() || !self.dirty.is_empty() || self.draining_count > 0 {
             self.events.push(self.now, SimEvent::GpuQuantum);
         }
@@ -887,6 +887,7 @@ impl ClusterSim {
         let mut training = false;
         let mut arrivals = false;
         let mut controller = false;
+        let mut net_due = false;
         let mut ready = std::mem::take(&mut self.wake_ready_buf);
         let mut expired = std::mem::take(&mut self.wake_expired_buf);
         while let Some((at, seq, event)) = self.events.pop_due_with_seq(t) {
@@ -908,10 +909,12 @@ impl ClusterSim {
                 SimEvent::ResizeApply => resizes = true,
                 SimEvent::ColdStartReady(uid) => ready.push(uid),
                 SimEvent::TrainingSubmit => training = true,
-                // Flow finish instants are over-pushed after every
-                // membership change; the net phase below treats stale
-                // ones as no-ops.
-                SimEvent::NetFlowDone => {}
+                // The armed wake fired; the net phase below completes its
+                // flow and re-arms at the next finish.
+                SimEvent::NetFlowDone => {
+                    self.net_wake = None;
+                    net_due = true;
+                }
             }
         }
         self.profiler.count_wake();
@@ -931,6 +934,7 @@ impl ClusterSim {
         }
         let pt = self.profiler.start();
         let (net_ready, flows_done) = self.process_net_phase();
+        debug_assert!(!net_due || flows_done > 0, "a NetFlowDone wake at {t} completed no flow");
         self.profiler.record(SimPhase::Net, pt, flows_done);
         let pt = self.profiler.start();
         if self.net.is_some() {

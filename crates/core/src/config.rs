@@ -843,12 +843,14 @@ arrivals = { process = "poisson", rate = 5.0 }
     fn idle_gaps_longer_than_the_replay_cap_match_dense_stepping() {
         // Two arrivals separated by ~2.9 s of complete idleness — about
         // 580 skipped 5 ms token cycles, far past the dilu preset's
-        // RCKM idle-history bound (`SharePolicy::idle_history_cycles`,
-        // 96 cycles at the defaults). The event core replays only that
-        // bounded tail of the gap into the policy; the bound is the
-        // policy's own convergence fixed point, so the dense reference
-        // (which steps every one of the ~580 idle cycles) must still
-        // agree byte-for-byte.
+        // RCKM idle-history bound from any state
+        // (`SharePolicy::idle_history_cycles` of a fresh policy, 96 cycles
+        // at the defaults). The event core replays at most that bounded
+        // tail of the gap into the policy, and a release build stops
+        // sooner, at the cycle after which RCKM reads 0 (its fixed point,
+        // within `rate_window` + 2 cycles here). The dense reference
+        // (which steps every one of the ~580 idle cycles) must still agree
+        // byte-for-byte.
         let text = |model: &str| {
             format!(
                 r#"

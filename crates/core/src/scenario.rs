@@ -32,7 +32,8 @@
 //! # Ok::<(), dilu_core::ScenarioError>(())
 //! ```
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use dilu_cluster::ClusterReport;
 use dilu_cluster::{
@@ -172,9 +173,10 @@ pub struct ScenarioBuilder {
     controller: Option<Box<dyn ElasticityController>>,
     share_policy: Option<Box<dyn PolicyFactory>>,
     functions: Vec<FunctionEntry>,
-    /// The ids in `functions`, so a duplicate costs one lookup, not a
+    /// Each id in `functions` with the index of its first entry, so a
+    /// duplicate or an id-addressed workload call costs one lookup, not a
     /// scan of every earlier function.
-    function_ids: BTreeSet<FunctionId>,
+    function_ids: BTreeMap<FunctionId, usize>,
     horizon: SimDuration,
     drain: SimDuration,
     seed: u64,
@@ -190,7 +192,7 @@ impl Default for ScenarioBuilder {
             controller: None,
             share_policy: None,
             functions: Vec::new(),
-            function_ids: BTreeSet::new(),
+            function_ids: BTreeMap::new(),
             horizon: SimDuration::from_secs(60),
             drain: SimDuration::from_secs(5),
             seed: 7,
@@ -298,8 +300,13 @@ impl ScenarioBuilder {
     /// ([`arrivals`](Self::arrivals), [`initial_instances`](Self::initial_instances),
     /// [`starts_at`](Self::starts_at)) apply to this function.
     pub fn function(mut self, spec: FunctionSpec) -> Self {
-        if !self.function_ids.insert(spec.id) {
-            self.misuse.get_or_insert(ScenarioError::DuplicateFunction(spec.id));
+        match self.function_ids.entry(spec.id) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.functions.len());
+            }
+            Entry::Occupied(_) => {
+                self.misuse.get_or_insert(ScenarioError::DuplicateFunction(spec.id));
+            }
         }
         let workload = if spec.kind.is_inference() {
             Workload::Inference { initial: 1, arrivals: ArrivalSource::Unset }
@@ -391,7 +398,7 @@ impl ScenarioBuilder {
         mut times: Vec<SimTime>,
     ) -> Self {
         times.sort_unstable();
-        match self.functions.iter_mut().find(|e| e.spec.id == func) {
+        match self.function_ids.get(&func).map(|&index| &mut self.functions[index]) {
             Some(entry) => match &mut entry.workload {
                 Workload::Inference { arrivals, .. } => *arrivals = ArrivalSource::Times(times),
                 Workload::Training { .. } => {

@@ -313,9 +313,20 @@ impl GpuEngine {
     /// policy (grants are discarded — nothing can run), and ages the idle
     /// counters, in exactly the dense order.
     ///
-    /// Callers cap `cycles` (policy state reaches a fixed point once every
-    /// per-slot window has filled with zeros), so a long gap costs a
-    /// bounded replay rather than O(gap).
+    /// Callers cap `cycles` at the policy's bound from any state (see
+    /// [`SharePolicy::idle_history_cycles`]), so a long gap costs a bounded
+    /// replay rather than O(gap).
+    ///
+    /// The replay also stops early at the policy's fixed point. The first
+    /// cycle always runs: it is the one whose views can differ from the
+    /// policy's last call (an instance admitted or evicted since, the
+    /// kernel blocks of the last real step). From the second cycle on the
+    /// views repeat except for `idle_quanta`. So once the policy reads 0
+    /// from [`idle_history_cycles`](SharePolicy::idle_history_cycles)
+    /// after a replayed cycle, every remaining cycle is a no-op for it:
+    /// they are added to each slot's `idle_quanta` in one step instead of
+    /// being replayed. Debug builds replay them anyway and panic, naming
+    /// the policy, if one of them changes the grants or the reading.
     ///
     /// No work progresses during the replay. Callers normally invoke this
     /// while the engine is idle; if items are already queued (a deployment
@@ -326,7 +337,10 @@ impl GpuEngine {
         let mut now = from;
         let mut views = std::mem::take(&mut self.view_buf);
         let mut grants = std::mem::take(&mut self.grant_buf);
-        for _ in 0..cycles {
+        // Debug oracle: the grants of the cycle after which the policy
+        // first read 0, which every further cycle must repeat.
+        let mut fixed_point: Option<Vec<Grant>> = None;
+        for replayed in 1..=cycles {
             self.views_into(&mut views);
             policy.allocate_into(now, self.quantum, &views, &mut grants);
             for slot in self.slots.values_mut() {
@@ -334,6 +348,24 @@ impl GpuEngine {
                 slot.idle_quanta = slot.idle_quanta.saturating_add(1);
             }
             now += self.quantum;
+            if let Some(reference) = &fixed_point {
+                assert!(
+                    grants == *reference && policy.idle_history_cycles() == 0,
+                    "share policy `{}` read 0 idle-history cycles, but a further workless \
+                     cycle changed its grants or its reading",
+                    policy.name(),
+                );
+            } else if replayed < cycles && policy.idle_history_cycles() == 0 {
+                if cfg!(debug_assertions) {
+                    fixed_point = Some(grants.clone());
+                } else {
+                    let skipped = u32::try_from(cycles - replayed).unwrap_or(u32::MAX);
+                    for slot in self.slots.values_mut() {
+                        slot.idle_quanta = slot.idle_quanta.saturating_add(skipped);
+                    }
+                    break;
+                }
+            }
         }
         self.view_buf = views;
         self.grant_buf = grants;
@@ -835,14 +867,13 @@ mod tests {
         assert_eq!(gpu.next_event_at(SimTime::ZERO), None, "drained GPU needs no wake");
     }
 
-    /// Records every view sequence the policy is shown, so the fast-forward
-    /// path can be compared observation-for-observation against dense
-    /// idle stepping.
-    struct Recorder {
-        seen: Vec<Vec<InstanceView>>,
+    /// Reads 0 idle-history cycles from the start, yet grants a different
+    /// rate on every call.
+    struct FalseFixedPoint {
+        calls: u32,
     }
 
-    impl SharePolicy for Recorder {
+    impl SharePolicy for FalseFixedPoint {
         fn allocate_into(
             &mut self,
             _now: SimTime,
@@ -850,38 +881,41 @@ mod tests {
             views: &[InstanceView],
             out: &mut Vec<Grant>,
         ) {
-            self.seen.push(views.to_vec());
+            self.calls += 1;
+            let smr = SmRate::from_percent(f64::from(self.calls));
             out.clear();
+            out.extend(views.iter().map(|v| Grant { id: v.id, smr }));
         }
 
         fn name(&self) -> &str {
-            "recorder"
+            "false-fixed-point"
+        }
+
+        fn idle_history_cycles(&self) -> u64 {
+            0
         }
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn idle_fastforward_matches_dense_idle_stepping() {
-        // Two engines with the same resident (workless) slot: one stepped
-        // densely through 7 empty quanta, one fast-forwarded over them. The
-        // policies must observe identical view sequences and the slots must
-        // end in identical state.
-        let build = || {
-            let mut gpu = GpuEngine::new(GB * 4);
-            gpu.admit(InstanceId(1), slot(TaskClass::SloSensitive, 40.0, 80.0)).unwrap();
-            gpu.admit(InstanceId(2), slot(TaskClass::BestEffort, 30.0, 60.0)).unwrap();
-            gpu
-        };
-        let (mut dense, mut fast) = (build(), build());
-        let mut dense_policy = Recorder { seen: Vec::new() };
-        let mut fast_policy = Recorder { seen: Vec::new() };
-        let mut now = SimTime::ZERO;
-        for _ in 0..7 {
-            dense.step(now, &mut dense_policy);
-            now += dense.quantum();
-        }
-        fast.idle_fastforward(SimTime::ZERO, 7, &mut fast_policy);
-        assert_eq!(dense_policy.seen, fast_policy.seen);
-        assert_eq!(dense.views(), fast.views());
+    #[should_panic(expected = "share policy `false-fixed-point` read 0 idle-history cycles")]
+    fn idle_fastforward_oracle_names_a_policy_whose_grants_move_at_its_fixed_point() {
+        let mut gpu = GpuEngine::new(GB * 4);
+        gpu.admit(InstanceId(1), slot(TaskClass::SloSensitive, 40.0, 80.0)).unwrap();
+        gpu.idle_fastforward(SimTime::ZERO, 4, &mut FalseFixedPoint { calls: 0 });
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn idle_fastforward_stops_where_the_policy_reads_zero() {
+        // The first cycle always runs; the reading after it ends the
+        // replay, and the skipped cycles still age the idle counters.
+        let mut gpu = GpuEngine::new(GB * 4);
+        gpu.admit(InstanceId(1), slot(TaskClass::SloSensitive, 40.0, 80.0)).unwrap();
+        let mut policy = FalseFixedPoint { calls: 0 };
+        gpu.idle_fastforward(SimTime::ZERO, 40, &mut policy);
+        assert_eq!(policy.calls, 1);
+        assert_eq!(gpu.views()[0].idle_quanta, 40);
     }
 
     #[test]

@@ -5,12 +5,13 @@ use dilu_sim::{SimDuration, SimTime};
 use crate::{InstanceId, SmRate, TaskClass};
 
 /// Default idle-history bound, in token cycles (~0.5 s of the default
-/// 5 ms quantum): how many fully-workless cycles a shipped policy needs
-/// before its derived per-instance state provably reaches a fixed point
-/// (kernel-rate windows filled with zeros, multiplicative grant ramps at
-/// their ceilings). The event-driven driver replays exactly
-/// [`SharePolicy::idle_history_cycles`] idle cycles — this value unless
-/// the policy overrides — before stepping a GPU after a longer gap.
+/// 5 ms quantum): how many fully-workless cycles a shipped policy needs,
+/// from any state, before its derived per-instance state provably reaches
+/// a fixed point (kernel-rate windows filled with zeros, multiplicative
+/// grant ramps at their ceilings). It is the default of
+/// [`SharePolicy::idle_history_cycles`], and so the event-driven driver's
+/// idle-replay cap for every policy that does not override it. Being a
+/// constant, it never reads 0, so those policies replay to the cap.
 pub const IDLE_HISTORY_CYCLES: u64 = 96;
 
 /// A read-only view of one resident instance, handed to policies each
@@ -73,7 +74,7 @@ pub struct Grant {
 /// An event-driven driver skips token cycles in which no resident has
 /// work and later replays a *bounded* number of idle cycles (capped at
 /// this policy's own [`idle_history_cycles`](Self::idle_history_cycles)
-/// bound; see
+/// bound, and cut short once that reads 0; see
 /// [`GpuEngine::idle_fastforward`](crate::GpuEngine::idle_fastforward))
 /// before the next real step. Policies whose derived per-instance state
 /// converges to a fixed point within that many workless cycles — windows
@@ -131,21 +132,32 @@ pub trait SharePolicy {
     /// A short human-readable policy name for reports.
     fn name(&self) -> &str;
 
-    /// The number of fully-workless token cycles after which this
-    /// policy's derived state is at a fixed point — replaying more idle
-    /// cycles than this provably cannot change any subsequent grant.
+    /// An upper bound, from the policy's current state, on the
+    /// fully-workless token cycles still needed before that state stops
+    /// changing — replaying more idle cycles than this provably cannot
+    /// change any subsequent grant.
     ///
-    /// The event-driven driver uses this as its idle-replay cap: after a
-    /// gap longer than the cap it replays exactly this many trailing
-    /// idle cycles instead of the whole gap, and the bound is what makes
-    /// that shortcut byte-identical to dense stepping. A policy whose
-    /// state converges more slowly (longer rate windows, shallower
-    /// ramps, explicit idle counters) must override this with its true
-    /// bound — or track long idleness via `now` in
-    /// [`allocate_into`](Self::allocate_into) as the module docs describe.
+    /// The event-driven driver reads it in two places:
     ///
-    /// The default, [`IDLE_HISTORY_CYCLES`], covers every shipped
-    /// policy's windows and ramps with a wide margin.
+    /// * **On the fresh policy, as its idle-replay cap.** After a gap
+    ///   longer than the cap it replays only this many trailing idle
+    ///   cycles instead of the whole gap, and the bound is what makes that
+    ///   shortcut byte-identical to dense stepping. A fresh policy's
+    ///   reading must therefore hold from *any* state. A policy whose
+    ///   state converges more slowly than the default allows (longer rate
+    ///   windows, shallower ramps, explicit idle counters) must override
+    ///   this with its true bound — or track long idleness via `now` in
+    ///   [`allocate_into`](Self::allocate_into) as the module docs
+    ///   describe.
+    /// * **After every replayed cycle.** 0 promises that another call with
+    ///   the same workless views changes neither the state nor the grants,
+    ///   so [`GpuEngine::idle_fastforward`](crate::GpuEngine::idle_fastforward)
+    ///   skips the rest of the replay. Debug builds replay it anyway and
+    ///   panic if the promise breaks.
+    ///
+    /// The default, [`IDLE_HISTORY_CYCLES`], is a constant: it covers
+    /// every shipped policy's windows and ramps with a wide margin and
+    /// never reads 0, so a policy keeping it always replays to the cap.
     fn idle_history_cycles(&self) -> u64 {
         IDLE_HISTORY_CYCLES
     }

@@ -87,6 +87,10 @@ pub struct NetPlane<T> {
     next_id: FlowId,
     requested: u64,
     delivered: u64,
+    /// The earliest grid-aligned finish over all flows, refreshed after
+    /// every membership change (finishes move only then); `None` while no
+    /// flow is active.
+    next_finish: Option<SimTime>,
     // --- re-share scratch, reused across membership changes ---
     /// Residual capacity per touched link during a water-fill.
     cap_scratch: Vec<u64>,
@@ -125,6 +129,7 @@ impl<T> NetPlane<T> {
             next_id: 1,
             requested: 0,
             delivered: 0,
+            next_finish: None,
             cap_scratch: vec![0; links],
             count_scratch: vec![0; links],
             link_seen: vec![false; links],
@@ -193,6 +198,7 @@ impl<T> NetPlane<T> {
         }
         self.flows.insert(id, Flow { links, nlinks, remaining: bytes, t0: now, rate: 1, payload });
         self.reshare_from_many(&links[..nlinks as usize]);
+        self.next_finish = self.scan_next_finish();
         id
     }
 
@@ -200,17 +206,20 @@ impl<T> NetPlane<T> {
     /// order, returning their payloads; survivors are advanced and
     /// re-shared. Polling with nothing due is a strict no-op, which is
     /// what keeps dense-quantum (polling every quantum) and event-driven
-    /// (polling at finish instants) byte-identical.
+    /// (polling at finish instants) byte-identical. Before
+    /// [`next_finish`](Self::next_finish) it returns at once, without
+    /// looking at any flow.
     pub fn take_due(&mut self, now: SimTime) -> Vec<(FlowId, T)> {
+        if self.next_finish().is_none_or(|next| next > now) {
+            return Vec::new();
+        }
         let due: Vec<FlowId> = self
             .flows
             .iter()
             .filter(|(_, f)| self.finish_of(f) <= now)
             .map(|(&id, _)| id)
             .collect();
-        if due.is_empty() {
-            return Vec::new();
-        }
+        debug_assert!(!due.is_empty(), "the earliest finish at {now} completes a flow");
         self.advance_to(now);
         // Collect the departing flows' links as re-share seeds, then drop
         // the departures from the per-link lists in one pass per link.
@@ -241,6 +250,7 @@ impl<T> NetPlane<T> {
         self.reshare_from_many(&seeds);
         seeds.clear();
         self.seed_scratch = seeds;
+        self.next_finish = self.scan_next_finish();
         out
     }
 
@@ -435,10 +445,25 @@ impl<T> NetPlane<T> {
         SimTime::from_micros(raw.as_micros().div_ceil(q).saturating_mul(q))
     }
 
-    /// Grid-aligned finish instants of all active flows — what the
-    /// event-driven driver turns into wake events after every reshare.
-    pub fn finish_instants(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.flows.values().map(|f| self.finish_of(f))
+    /// The earliest grid-aligned finish instant over all active flows, or
+    /// `None` when none is active: the one instant at which the
+    /// event-driven driver needs to wake for the plane. Answered from a
+    /// cache kept by every membership change; debug builds check it
+    /// against a scan of every flow.
+    pub fn next_finish(&self) -> Option<SimTime> {
+        debug_assert_eq!(
+            self.next_finish,
+            self.scan_next_finish(),
+            "cached earliest finish diverged from a scan of every flow"
+        );
+        self.next_finish
+    }
+
+    /// The earliest finish, by a scan of every flow. A membership change
+    /// advances every flow's epoch and re-rates its component, so any
+    /// flow's finish may have moved: each change rescans.
+    fn scan_next_finish(&self) -> Option<SimTime> {
+        self.flows.values().map(|f| self.finish_of(f)).min()
     }
 
     /// Active flows as `(id, payload, remaining bytes as of the last
@@ -594,12 +619,14 @@ mod tests {
     }
 
     #[test]
-    fn finish_instants_are_grid_aligned() {
+    fn next_finish_is_grid_aligned() {
         let mut net = plane(1, 10.0, 25.0);
+        assert_eq!(net.next_finish(), None, "an empty plane has no finish");
         net.start_fetch(SimTime::ZERO, 0, 1_234_567, 0);
-        for at in net.finish_instants() {
-            assert_eq!(at.as_micros() % 5_000, 0, "finish {at} must sit on the grid");
-        }
+        let at = net.next_finish().expect("one active flow");
+        assert_eq!(at.as_micros() % 5_000, 0, "finish {at} must sit on the grid");
+        assert_eq!(net.take_due(at).len(), 1);
+        assert_eq!(net.next_finish(), None, "the last departure clears the finish");
     }
 
     #[test]
@@ -648,6 +675,28 @@ mod tests {
         }
     }
 
+    /// `next_finish()` is the minimum finish over all flows, and polling at
+    /// the grid instant just before it (when that is not before `now`)
+    /// completes nothing and moves no byte, rate or finish.
+    fn assert_next_finish_exact(net: &mut NetPlane<u32>, now: SimTime, ctx: &str) {
+        let scanned = net.flows.values().map(|f| net.finish_of(f)).min();
+        assert_eq!(net.next_finish(), scanned, "{ctx}: next_finish is not the earliest finish");
+        let Some(next) = scanned else {
+            return;
+        };
+        if next < now + Q {
+            return;
+        }
+        let snapshot = |net: &NetPlane<u32>| {
+            let flows: Vec<(FlowId, u64, u64, SimTime)> =
+                net.flows.iter().map(|(&id, f)| (id, f.remaining, f.rate, f.t0)).collect();
+            (flows, net.delivered_bytes(), net.next_finish())
+        };
+        let before = snapshot(net);
+        assert!(net.take_due(next - Q).is_empty(), "{ctx}: a poll before next_finish completed");
+        assert_eq!(snapshot(net), before, "{ctx}: a poll before next_finish mutated the plane");
+    }
+
     #[test]
     fn incremental_reshare_matches_full_on_random_sequences() {
         for seed in 0..6u64 {
@@ -678,6 +727,7 @@ mod tests {
                     }
                 }
                 assert_rates_match_oracle(&net, "after random op");
+                assert_next_finish_exact(&mut net, t, "after random op");
                 assert_eq!(
                     net.requested_bytes(),
                     net.delivered_bytes() + net.inflight_bytes(),
@@ -690,10 +740,12 @@ mod tests {
                 t += SimDuration::from_secs(600);
                 net.take_due(t);
                 assert_rates_match_oracle(&net, "during drain");
+                assert_next_finish_exact(&mut net, t, "during drain");
                 guard += 1;
                 assert!(guard < 10_000, "flows must drain (seed {seed})");
             }
             assert_eq!(net.requested_bytes(), net.delivered_bytes());
+            assert_eq!(net.next_finish(), None);
         }
     }
 
@@ -725,9 +777,10 @@ mod tests {
                     }
                     tag += 1;
                     assert_rates_match_oracle(&net, "refill");
+                    assert_next_finish_exact(&mut net, t, "refill");
                 }
                 // Jump exactly onto the earliest finish instant.
-                t = net.finish_instants().min().expect("active flows have finishes");
+                t = net.next_finish().expect("active flows have finishes");
                 let node = (splitmix(&mut rng) % 6) as usize;
                 let bytes = 1_000_000 + splitmix(&mut rng) % 200_000_000;
                 if splitmix(&mut rng).is_multiple_of(2) {
@@ -747,6 +800,7 @@ mod tests {
                 }
                 tag += 1;
                 assert_rates_match_oracle(&net, "after same-instant churn");
+                assert_next_finish_exact(&mut net, t, "after same-instant churn");
                 assert_eq!(
                     net.requested_bytes(),
                     net.delivered_bytes() + net.inflight_bytes(),
@@ -759,10 +813,12 @@ mod tests {
                 t += SimDuration::from_secs(600);
                 net.take_due(t);
                 assert_rates_match_oracle(&net, "during drain");
+                assert_next_finish_exact(&mut net, t, "during drain");
                 guard += 1;
                 assert!(guard < 10_000, "flows must drain (seed {seed})");
             }
             assert_eq!(net.requested_bytes(), net.delivered_bytes());
+            assert_eq!(net.next_finish(), None);
         }
     }
 

@@ -20,8 +20,10 @@
 //! Everything is integer arithmetic over microsecond timestamps and
 //! byte counts: the plane is deterministic by construction, and both
 //! cluster time models (dense-quantum and event-driven) drive it through
-//! the same [`NetPlane::take_due`] entry point at quantum-grid instants,
-//! so reports stay byte-identical across time models.
+//! the same [`NetPlane::take_due`] entry point at quantum-grid instants —
+//! the dense stepper every quantum, the event core only at
+//! [`NetPlane::next_finish`] — so reports stay byte-identical across time
+//! models.
 //!
 //! # Examples
 //!
@@ -33,6 +35,7 @@
 //! let mut net: NetPlane<&'static str> = NetPlane::new(2, &cfg, SimDuration::from_millis(5));
 //! net.start_fetch(SimTime::ZERO, 0, 1_250_000_000, "weights");
 //! // 1.25 GB over the 10 Gbps registry link = 1 s, grid-aligned.
+//! assert_eq!(net.next_finish(), Some(SimTime::from_secs(1)));
 //! let done = net.take_due(SimTime::from_secs(1));
 //! assert_eq!(done, vec![(1, "weights")]);
 //! assert_eq!(net.delivered_bytes(), net.requested_bytes());

@@ -97,12 +97,45 @@ pub struct RckmPolicy {
     /// The SLO-sensitive instance currently holding the EMERGENCY state,
     /// with its last observed ΔT. Only this instance may reset it (§3.4.1).
     emergency: Option<(InstanceId, f64)>,
+    /// The idle-history bound from any state (see [`idle_bound`]).
+    idle_bound: u64,
+    /// `true` when the last call changed nothing and another call on the
+    /// same workless views would change nothing either (see
+    /// [`allocate_into`](SharePolicy::allocate_into)); the policy then
+    /// reads 0 idle-history cycles.
+    fixed_point: bool,
+}
+
+/// RCKM's idle-history bound from any state, in workless cycles: the
+/// kernel-rate window fills with zeros in `rate_window` cycles (plus
+/// `queue_pressure` as a margin for the queue-derived burst signal
+/// draining), and the multiplicative grant ramp reaches any ceiling within
+/// log_η of the limit/request ratio — bounded here by 10⁴ (4·ln10), far
+/// beyond any profiled quota spread. η ≤ 1 never grows, so it converges
+/// with the window. The result floors at the trait default, which already
+/// covers the paper defaults (10 + 3 + 36 = 49 < 96); a custom config with
+/// a longer window raises the cap instead of silently breaking the
+/// event-driven ≡ dense equivalence.
+fn idle_bound(cfg: &RckmConfig) -> u64 {
+    let ramp = if cfg.eta_increase > 1.0 {
+        (4.0 * std::f64::consts::LN_10 / cfg.eta_increase.ln()).ceil() as u64
+    } else {
+        0
+    };
+    (cfg.rate_window as u64 + cfg.queue_pressure as u64 + ramp).max(dilu_gpu::IDLE_HISTORY_CYCLES)
 }
 
 impl RckmPolicy {
     /// Creates a token manager with the given tunables.
     pub fn new(config: RckmConfig) -> Self {
-        RckmPolicy { config, ctl: Vec::new(), sum_buf: Vec::new(), emergency: None }
+        RckmPolicy {
+            config,
+            ctl: Vec::new(),
+            sum_buf: Vec::new(),
+            emergency: None,
+            idle_bound: idle_bound(&config),
+            fixed_point: false,
+        }
     }
 
     /// The configuration in effect.
@@ -167,20 +200,34 @@ impl SharePolicy for RckmPolicy {
         grants: &mut Vec<Grant>,
     ) {
         let cfg = self.config;
+        // Fixed-point detection: this call leaves the policy at a fixed
+        // point when every view is workless, no instance joins or leaves,
+        // every rate window is full and all zero, and no state, `r_last`
+        // or emergency (holder and ΔT, bit for bit) changes. Another call
+        // on the same views then starts from the state this one started
+        // from, up to the all-zero window it refills identically, so it
+        // is a no-op.
+        let mut unchanged = views.iter().all(|v| v.queue_len == 0 && v.blocks_last_quantum == 0);
         // Drop state for departed instances.
+        let tracked = self.ctl.len();
         self.ctl.retain(|(id, _)| views.iter().any(|v| v.id == *id));
+        unchanged &= self.ctl.len() == tracked;
         for v in views {
             match self.ctl.iter_mut().find(|(id, _)| *id == v.id) {
                 Some((_, c)) => c.push_rate(v.blocks_last_quantum, cfg.rate_window),
                 None => {
+                    unchanged = false;
                     let mut c = InstanceCtl::new(cfg.rate_window);
                     c.push_rate(v.blocks_last_quantum, cfg.rate_window);
                     self.ctl.push((v.id, c));
                 }
             }
         }
+        let holder_bits = |e: Option<(InstanceId, f64)>| e.map(|(id, dt)| (id, dt.to_bits()));
+        let previous = holder_bits(self.emergency);
         self.refresh_emergency(views);
         let emergency = self.emergency;
+        unchanged &= holder_bits(emergency) == previous;
 
         // Each view's kernel-rate window sum, computed once per cycle (the
         // idle/contention branches below would otherwise re-derive them
@@ -190,6 +237,8 @@ impl SharePolicy for RckmPolicy {
         sums.extend(views.iter().map(|v| {
             self.ctl.iter().find(|(id, _)| *id == v.id).map(|(_, c)| c.window_sum()).unwrap_or(0)
         }));
+        unchanged &= sums.iter().all(|&sum| sum == 0)
+            && self.ctl.iter().all(|(_, c)| c.window.len() == cfg.rate_window);
 
         // Activity of SLO-sensitive co-runners, for best-effort ramping.
         let slo_active: bool =
@@ -241,11 +290,13 @@ impl SharePolicy for RckmPolicy {
                 (ScaleState::Contention, request)
             };
 
+            unchanged &= ctl.state == state && ctl.r_last.to_bits() == issue.to_bits();
             ctl.state = state;
             ctl.r_last = issue;
             grants.push(Grant { id: v.id, smr: SmRate::from_fraction(issue.max(0.0)) });
         }
         self.sum_buf = sums;
+        self.fixed_point = unchanged;
     }
 
     fn notify_resize(&mut self, id: InstanceId, request: SmRate, limit: SmRate) {
@@ -258,6 +309,7 @@ impl SharePolicy for RckmPolicy {
             let ceiling = self.config.max_tokens * limit.as_fraction();
             ctl.r_last = ctl.r_last.clamp(floor.min(ceiling), ceiling);
         }
+        self.fixed_point = false;
     }
 
     fn name(&self) -> &str {
@@ -265,25 +317,13 @@ impl SharePolicy for RckmPolicy {
     }
 
     fn idle_history_cycles(&self) -> u64 {
-        // Derived state and how fast it converges under workless cycles:
-        // the kernel-rate window fills with zeros in `rate_window` cycles
-        // (plus `queue_pressure` as a margin for the queue-derived burst
-        // signal draining), and the multiplicative grant ramp reaches any
-        // ceiling within log_η of the limit/request ratio — bounded here
-        // by 10⁴ (4·ln10), far beyond any profiled quota spread. η ≤ 1
-        // never grows, so it converges with the window. The result floors
-        // at the trait default, which already covers the paper defaults
-        // (10 + 3 + 36 = 49 < 96); a custom config with a longer window
-        // raises the cap instead of silently breaking the event-driven ≡
-        // dense equivalence.
-        let cfg = &self.config;
-        let ramp = if cfg.eta_increase > 1.0 {
-            (4.0 * std::f64::consts::LN_10 / cfg.eta_increase.ln()).ceil() as u64
-        } else {
+        // 0 at a fixed point (see `fixed_point`), else the bound from any
+        // state — what a fresh policy reads, and so the replay cap.
+        if self.fixed_point {
             0
-        };
-        (cfg.rate_window as u64 + cfg.queue_pressure as u64 + ramp)
-            .max(dilu_gpu::IDLE_HISTORY_CYCLES)
+        } else {
+            self.idle_bound
+        }
     }
 }
 
@@ -467,6 +507,79 @@ mod tests {
         // floored at the trait default.
         let flat = RckmPolicy::new(RckmConfig { eta_increase: 1.0, ..RckmConfig::default() });
         assert_eq!(flat.idle_history_cycles(), dilu_gpu::IDLE_HISTORY_CYCLES);
+    }
+
+    /// `view` with its work gone: nothing queued, no blocks last cycle.
+    fn workless(mut v: InstanceView) -> InstanceView {
+        v.queue_len = 0;
+        v.blocks_last_quantum = 0;
+        v.demand = SmRate::ZERO;
+        v
+    }
+
+    #[test]
+    fn inference_only_gpu_reaches_its_fixed_point_within_the_window() {
+        let cfg = RckmConfig::default();
+        let mut p = RckmPolicy::new(cfg);
+        let busy = [
+            view(1, TaskClass::SloSensitive, 30.0, 60.0, 60, 0.0),
+            view(2, TaskClass::SloSensitive, 20.0, 40.0, 40, 0.0),
+        ];
+        for _ in 0..5 {
+            tick(&mut p, &busy);
+            assert_ne!(p.idle_history_cycles(), 0, "busy cycles move the state");
+        }
+        // The first workless cycle still shows the last step's blocks.
+        let last_blocks = busy.map(|mut v| {
+            v.queue_len = 0;
+            v
+        });
+        let idle = busy.map(workless);
+        let mut cycles = 1;
+        tick(&mut p, &last_blocks);
+        while p.idle_history_cycles() != 0 {
+            tick(&mut p, &idle);
+            cycles += 1;
+            assert!(cycles <= cfg.rate_window + 2, "no fixed point after {cycles} cycles");
+        }
+        // At the fixed point another cycle changes nothing.
+        let before = tick(&mut p, &idle);
+        assert_eq!(tick(&mut p, &idle), before);
+        assert_eq!(p.idle_history_cycles(), 0);
+        // A resize re-clamps the derived grant: no longer a fixed point.
+        p.notify_resize(InstanceId(1), SmRate::from_percent(10.0), SmRate::from_percent(20.0));
+        assert_eq!(p.idle_history_cycles(), p.idle_bound);
+    }
+
+    #[test]
+    fn no_fixed_point_while_a_ramp_climbs_or_work_is_queued() {
+        // A best-effort co-runner with a 1 % request ramps toward its 100 %
+        // limit once the inference window empties: ~18 cycles at η = 1.3,
+        // longer than the 10-cycle window.
+        let mut p = RckmPolicy::new(RckmConfig::default());
+        let idle = [
+            workless(view(1, TaskClass::SloSensitive, 30.0, 60.0, 0, 0.0)),
+            workless(view(2, TaskClass::BestEffort, 1.0, 100.0, 0, 0.0)),
+        ];
+        let mut previous = None;
+        let mut climbing = 0;
+        for _ in 0..60 {
+            let grant = grant_of(&tick(&mut p, &idle), 2);
+            if previous != Some(grant) {
+                climbing += 1;
+                assert_ne!(p.idle_history_cycles(), 0, "fixed point while the ramp moves");
+            }
+            previous = Some(grant);
+        }
+        assert!(climbing > RckmConfig::default().rate_window, "the ramp outlasts the window");
+        assert_eq!(p.idle_history_cycles(), 0, "the ramp tops out at the limit");
+        // Queued work is never a fixed point, however long it stays put.
+        let mut queued = idle;
+        queued[0].queue_len = 1;
+        for _ in 0..60 {
+            tick(&mut p, &queued);
+            assert_ne!(p.idle_history_cycles(), 0);
+        }
     }
 
     #[test]

@@ -1,11 +1,7 @@
 //! Dilu's adaptive 2D co-scaler: vertical quota resizing first, horizontal
 //! scale-out only when vertical headroom is exhausted.
 
-use std::collections::BTreeMap;
-
-use dilu_cluster::{
-    ClusterView, ElasticityController, FunctionId, FunctionScaleView, GpuAddr, ScaleAction,
-};
+use dilu_cluster::{ClusterView, ElasticityController, FunctionId, FunctionScaleView, ScaleAction};
 use dilu_gpu::SmRate;
 use dilu_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -69,12 +65,19 @@ impl Default for CoScalerConfig {
 #[derive(Debug, Clone)]
 pub struct CoScaler {
     config: CoScalerConfig,
+    /// Per-tick scratch, reused across ticks: each GPU's remaining
+    /// guaranteed-SM slack, indexed like [`ClusterView::gpus`].
+    slack: Vec<f64>,
+    /// Per-tick scratch: one `(function, GPU index)` entry per resident
+    /// slice, sorted, so a function's hosting GPUs are one contiguous run
+    /// found by binary search, in ascending GPU index.
+    slices: Vec<(FunctionId, usize)>,
 }
 
 impl CoScaler {
     /// Creates a co-scaler with the given tunables.
     pub fn new(config: CoScalerConfig) -> Self {
-        CoScaler { config }
+        CoScaler { config, slack: Vec::new(), slices: Vec::new() }
     }
 
     /// The configuration in effect.
@@ -139,18 +142,19 @@ impl CoScaler {
         }
     }
 
-    fn decide(&self, f: &FunctionScaleView, headroom: SmRate) -> Vec<ScaleAction> {
+    /// Appends this tick's actions for `f` to `out`.
+    fn decide(&self, f: &FunctionScaleView, headroom: SmRate, out: &mut Vec<ScaleAction>) {
         if !f.kind.is_inference() {
-            return Vec::new();
+            return;
         }
         let cfg = self.config.horizontal;
         let deployed = f.ready_instances + f.starting_instances;
         if deployed == 0 {
             // Nothing deployed: the vertical dimension does not exist yet.
             if f.backlog > 0 {
-                return vec![ScaleAction::ScaleOut { func: f.func, count: 1 }];
+                out.push(ScaleAction::ScaleOut { func: f.func, count: 1 });
             }
-            return Vec::new();
+            return;
         }
         let window: &[u64] = if f.rps_window.len() > cfg.window {
             &f.rps_window[f.rps_window.len() - cfg.window..]
@@ -173,13 +177,12 @@ impl CoScaler {
             let wanted_v = mean.max(recent) * self.config.target_headroom;
             let wanted_h = mean * self.config.target_headroom;
             if wanted_v <= capacity_now {
-                return Vec::new();
+                return;
             }
-            let mut actions = Vec::new();
             let (grown, capacity_after) =
                 self.grow_quota(f, headroom, wanted_v / f64::from(deployed));
             if grown.as_fraction() > f.quota.request.as_fraction() + 1e-9 {
-                actions.push(ScaleAction::ResizeQuota {
+                out.push(ScaleAction::ResizeQuota {
                     func: f.func,
                     request: grown,
                     limit: Self::limit_for(f, grown),
@@ -191,9 +194,9 @@ impl CoScaler {
                 // for the remainder.
                 let count =
                     ((wanted_h - total_after) / capacity_after.max(1e-9)).ceil().max(1.0) as u32;
-                actions.push(ScaleAction::ScaleOut { func: f.func, count });
+                out.push(ScaleAction::ScaleOut { func: f.func, count });
             }
-            return actions;
+            return;
         }
         // Quiet side. Shrink grown quotas back toward the profiled ones
         // before touching instance counts — the reverse of the grow order.
@@ -221,17 +224,18 @@ impl CoScaler {
                     .count()
                     > cfg.phi_in;
                 if fits && f.quota.request.as_fraction() - target.as_fraction() > 0.01 {
-                    return vec![ScaleAction::ResizeQuota {
+                    out.push(ScaleAction::ResizeQuota {
                         func: f.func,
                         request: target,
                         limit: Self::limit_for(f, target),
-                    }];
+                    });
+                    return;
                 }
             }
         }
         // Horizontal scale-in/scale-to-zero is exactly the lazy scaler's
         // decision — one shared implementation, not a copy.
-        crate::lazy::horizontal_scale_in(&cfg, f, window).into_iter().collect()
+        out.extend(crate::lazy::horizontal_scale_in(&cfg, f, window));
     }
 }
 
@@ -248,29 +252,28 @@ impl ElasticityController for CoScaler {
         // bursting in the same tick both claim the same SMs and the
         // "guaranteed" requests oversubscribe the card. A resize re-quotas
         // every slice of a function, draining ones included, so a GPU
-        // hosting `n` of them offers each slice `1/n` of its slack.
-        let mut slack: BTreeMap<GpuAddr, f64> =
-            cluster.gpus.iter().map(|g| (g.addr, g.request_slack().as_fraction())).collect();
-        let mut slices: BTreeMap<(FunctionId, GpuAddr), f64> = BTreeMap::new();
-        for gpu in &cluster.gpus {
-            for r in &gpu.residents {
-                *slices.entry((r.func, gpu.addr)).or_insert(0.0) += 1.0;
-            }
+        // hosting `n` of them offers each slice `1/n` of its slack. The
+        // budget is a min over hosting GPUs and each deduction touches one
+        // GPU, so the order the GPUs are visited in changes nothing.
+        let mut slack = std::mem::take(&mut self.slack);
+        let mut slices = std::mem::take(&mut self.slices);
+        slack.clear();
+        slack.extend(cluster.gpus.iter().map(|g| g.request_slack().as_fraction()));
+        slices.clear();
+        for (index, gpu) in cluster.gpus.iter().enumerate() {
+            slices.extend(gpu.residents.iter().map(|r| (r.func, index)));
         }
+        slices.sort_unstable();
         let mut actions = Vec::new();
-        let mut hosting: Vec<(GpuAddr, f64)> = Vec::new();
         for f in functions {
-            // This function's hosting GPUs via a key-range probe — a full
-            // scan of `slices` here is O(functions × residents) per tick,
-            // which dominated the whole simulation at 10k-function fleet
-            // scale.
-            let span = (f.func, GpuAddr { node: 0, gpu: 0 })
-                ..=(f.func, GpuAddr { node: u32::MAX, gpu: u32::MAX });
-            hosting.clear();
-            hosting.extend(slices.range(span).map(|((_, gpu), &n)| (*gpu, n)));
-            let budget = hosting
-                .iter()
-                .map(|(gpu, n)| slack.get(gpu).copied().unwrap_or(0.0) / n.max(1.0))
+            // This function's slices, one run per hosting GPU. Most
+            // functions at fleet scale host none, so the probe is a binary
+            // search rather than a scan.
+            let first = slices.partition_point(|&(func, _)| func < f.func);
+            let last = first + slices[first..].partition_point(|&(func, _)| func == f.func);
+            let hosting = || slices[first..last].chunk_by(|a, b| a.1 == b.1);
+            let budget = hosting()
+                .map(|run| slack[run[0].1] / run.len() as f64)
                 .fold(f64::INFINITY, f64::min);
             // No hosted slice means nothing is deployed, and `decide`
             // returns before it reads the headroom.
@@ -279,21 +282,22 @@ impl ElasticityController for CoScaler {
             } else {
                 SmRate::ZERO
             };
-            let decided = self.decide(f, headroom);
-            for action in &decided {
+            let decided = actions.len();
+            self.decide(f, headroom, &mut actions);
+            for action in &actions[decided..] {
                 if let ScaleAction::ResizeQuota { request, .. } = action {
                     let delta = (request.as_fraction() - f.quota.request.as_fraction()).max(0.0);
                     if delta > 0.0 {
-                        for (gpu, n) in &hosting {
-                            if let Some(s) = slack.get_mut(gpu) {
-                                *s = (*s - delta * n).max(0.0);
-                            }
+                        for run in hosting() {
+                            let s = &mut slack[run[0].1];
+                            *s = (*s - delta * run.len() as f64).max(0.0);
                         }
                     }
                 }
             }
-            actions.extend(decided);
         }
+        self.slack = slack;
+        self.slices = slices;
         actions
     }
 
@@ -305,7 +309,7 @@ impl ElasticityController for CoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dilu_cluster::{FunctionKind, GpuView, QuotaView, ResidentInfo};
+    use dilu_cluster::{FunctionKind, GpuAddr, GpuView, QuotaView, ResidentInfo};
     use dilu_gpu::TaskClass;
     use dilu_sim::SimDuration;
 

@@ -1,10 +1,14 @@
 //! Behavioural pins for the network/topology plane (`dilu-net`): cold-start
 //! storms contend on the shared registry link, per-node model caches skip
-//! the fetch, and networked runs stay byte-identical across time models.
+//! the fetch, the event core wakes for the plane only at finishes, and
+//! networked runs stay byte-identical across time models.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use dilu::cluster::{
-    ClusterSpec, ClusterView, ElasticityController, FunctionScaleView, ScaleAction, SimConfig,
-    TimeModel,
+    ClusterSpec, ClusterView, ElasticityController, EventRecord, FunctionScaleView, ScaleAction,
+    SimConfig, SimEvent, TimeModel,
 };
 use dilu::core::{funcs, SystemKind};
 use dilu::models::ModelId;
@@ -104,6 +108,49 @@ fn storm_fetch_latency_grows_with_concurrency() {
     assert!(m1 > 0.0, "a solo fetch still pays for its bytes, got {m1}");
     assert!(m4 >= 2.0 * m1, "4-way storm must contend: solo {m1} ms, 4-way {m4} ms");
     assert!(m32 >= 2.0 * m4, "32-way storm must contend harder: 4-way {m4} ms, 32-way {m32} ms");
+}
+
+/// A 32-way cold-start storm on `time_model`, run to the horizon plus the
+/// drain tail: the report JSON, the weight fetches started, and the
+/// `NetFlowDone` wakes the event hook saw.
+fn storm_run(time_model: TimeModel) -> (String, u64, u64) {
+    let scenario = SystemKind::Dilu
+        .builder()
+        .cluster(ClusterSpec { nodes: 8, gpus_per_node: 4, ..ClusterSpec::single_node(4) })
+        .sim_config(SimConfig { time_model, ..SimConfig::default() })
+        .network(NetworkConfig::default())
+        .horizon(SimDuration::from_secs(60))
+        .controller(StormOnce { count: 32, fired: false })
+        .function(funcs::inference_function(1, ModelId::BertBase))
+        .initial_instances(0)
+        .arrival_times(Vec::new())
+        .build()
+        .expect("storm scenario builds");
+    let end = SimTime::ZERO + scenario.horizon() + scenario.drain();
+    let mut sim = scenario.into_sim();
+    let wakes = Rc::new(Cell::new(0u64));
+    let seen = Rc::clone(&wakes);
+    sim.set_event_hook(Box::new(move |event: EventRecord| {
+        if event.kind == SimEvent::NetFlowDone.code() {
+            seen.set(seen.get() + 1);
+        }
+    }));
+    sim.run_until(end);
+    let report = sim.into_report();
+    let fetches = report.inference.values().next().expect("one function").cold_starts.fetches();
+    (serde_json::to_string(&report).expect("report serializes"), fetches, wakes.get())
+}
+
+#[test]
+fn storm_wakes_at_most_once_per_flow_and_matches_dense_stepping() {
+    // Every membership change re-shares the registry link and moves every
+    // finish; the event core still keeps one wake, at the earliest one.
+    let (reference, fetches, wakes) = storm_run(TimeModel::EventDriven);
+    assert_eq!(fetches, 32, "every launch fetches weights");
+    assert!(wakes > 0 && wakes <= fetches, "{wakes} NetFlowDone wakes for {fetches} flows");
+    let (dense, _, dense_wakes) = storm_run(TimeModel::DenseQuantum);
+    assert_eq!(dense_wakes, 0, "the dense stepper polls the plane instead");
+    assert_eq!(dense, reference, "storm report diverges under the dense time model");
 }
 
 #[test]

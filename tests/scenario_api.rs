@@ -68,6 +68,42 @@ fn workload_misuse_is_recorded_and_reported() {
             "{ids:?}: {err:?}"
         );
     }
+
+    // Id-addressed arrivals reach a function that is not the last one
+    // added, sorted; an unknown id is misuse.
+    let two_functions = || {
+        SystemKind::Dilu
+            .builder()
+            .cluster(ClusterSpec::single_node(2))
+            .sim_config(SimConfig { arrival_window: 0, ..SimConfig::default() })
+            .function(funcs::inference_function(1, ModelId::BertBase))
+            .arrival_times(Vec::new())
+            .function(funcs::inference_function(2, ModelId::Vgg19))
+            .arrival_times(Vec::new())
+    };
+    let mut sim = two_functions()
+        .arrival_times_for(FunctionId(1), vec![SimTime::from_secs(2), SimTime::from_secs(1)])
+        .build()
+        .expect("arrivals for an earlier function build")
+        .into_sim();
+    // A zero-length run pulls every arrival window (the whole schedule at
+    // `arrival_window = 0`) and simulates nothing.
+    sim.run_until(SimTime::ZERO);
+    assert_eq!(
+        sim.arrival_schedule(),
+        vec![
+            (FunctionId(1), vec![SimTime::from_secs(1), SimTime::from_secs(2)]),
+            (FunctionId(2), Vec::new()),
+        ]
+    );
+    let err = two_functions().arrival_times_for(FunctionId(9), vec![SimTime::ZERO]).build();
+    assert!(
+        matches!(
+            err,
+            Err(ScenarioError::WrongRole { func: FunctionId(9), method: "arrival_times_for" })
+        ),
+        "{err:?}"
+    );
 }
 
 #[test]
