@@ -1,8 +1,9 @@
 //! `dilu run --profile` end to end: the phase table renders (under the
-//! dense-quantum stepper, whose wakes drive every phase each cycle), and
+//! dense-quantum stepper, whose wakes drive every phase each cycle),
 //! profiling never perturbs the simulation — the `--json` digest matches
 //! the unprofiled run byte-for-byte once the wall-clock-derived (and so
-//! nondeterministic) `"profile"` entry is removed.
+//! nondeterministic) `"profile"` entry is removed — and a scenario without
+//! a network plane charges nothing to the `net` phase.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,6 +71,11 @@ fn digest_without_profile(path: &PathBuf) -> (String, Option<Value>) {
     (serde_json::to_string(&Value::Map(entries)).expect("re-serializes"), profile)
 }
 
+/// The value under `name` in a parsed JSON map's entries.
+fn field(entries: &[(Value, Value)], name: &str) -> Option<Value> {
+    entries.iter().find(|(k, _)| matches!(k, Value::Str(s) if s == name)).map(|(_, v)| v.clone())
+}
+
 #[test]
 fn profile_renders_a_table_and_leaves_the_json_digest_untouched() {
     let scenario = write_scenario();
@@ -102,12 +108,6 @@ fn profile_renders_a_table_and_leaves_the_json_digest_untouched() {
     // Dense-quantum phase counters are coherent: the profiler saw wakes,
     // and the per-phase event counts it reports are non-trivial.
     let Some(Value::Map(profile)) = profile else { panic!("profiled run embeds a profile map") };
-    let field = |entries: &[(Value, Value)], name: &str| {
-        entries
-            .iter()
-            .find(|(k, _)| matches!(k, Value::Str(s) if s == name))
-            .map(|(_, v)| v.clone())
-    };
     let Some(Value::UInt(wakes)) = field(&profile, "wakes") else { panic!("wakes recorded") };
     assert!(wakes > 0, "dense stepping wakes every quantum");
     let Some(Value::Map(phases)) = field(&profile, "phases") else { panic!("phases recorded") };
@@ -122,4 +122,24 @@ fn profile_renders_a_table_and_leaves_the_json_digest_untouched() {
         })
         .sum();
     assert!(events > 0, "phase event counters must accumulate across wakes");
+}
+
+#[test]
+fn a_network_less_run_charges_nothing_to_the_net_phase() {
+    let scenario = write_scenario();
+    let sc = scenario.to_str().unwrap();
+    for model in ["dense-quantum", "event-driven"] {
+        let out = scratch(&format!("profile-net-{model}.json"));
+        run_dilu(&["run", sc, "--time-model", model, "--profile", "--json", out.to_str().unwrap()]);
+        let (_, profile) = digest_without_profile(&out);
+        let Some(Value::Map(profile)) = profile else {
+            panic!("profiled run embeds a profile map")
+        };
+        let Some(Value::Map(phases)) = field(&profile, "phases") else { panic!("phases recorded") };
+        let Some(Value::Map(net)) = field(&phases, "net") else { panic!("net row recorded") };
+        // The scenario has no `[network]` section: there is no plane to
+        // poll, so the phase never runs and its timer never starts.
+        assert_eq!(field(&net, "nanos"), Some(Value::UInt(0)), "{model}: net wall time");
+        assert_eq!(field(&net, "events"), Some(Value::UInt(0)), "{model}: net events");
+    }
 }

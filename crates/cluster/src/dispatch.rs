@@ -15,7 +15,7 @@
 
 use dilu_sim::SimTime;
 
-use crate::instance::{InflightBatch, Request};
+use crate::instance::{InflightBatch, Instance, Request};
 use crate::sim::ClusterSim;
 use crate::{FunctionId, FunctionKind, InstanceState, InstanceUid};
 
@@ -400,8 +400,8 @@ impl ClusterSim {
                 continue;
             }
             self.total_blocks_sec += blocks;
-            if let Some(&(_, _, func)) = self.slot_index.get(&slot_id) {
-                if let Some(f) = self.funcs.get_mut(&func) {
+            if let Some(inst) = self.instances.get(&Instance::owner_of(slot_id)) {
+                if let Some(f) = self.funcs.get_mut(&inst.func) {
                     f.sec_blocks += blocks;
                 }
             }

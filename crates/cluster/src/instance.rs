@@ -74,11 +74,16 @@ pub(crate) struct Instance {
     pub inflight: Vec<InflightBatch>,
     /// Last instant this instance had any work.
     pub last_active: SimTime,
-    /// Outstanding batch-formation deadline (event core only): the grid
-    /// instant it fires at and the cancellable queue token. Kept inline so
-    /// the per-wake deadline churn needs no side-table inserts.
-    pub deadline: Option<(SimTime, EventToken)>,
+    /// Outstanding batch-formation deadline (event core only): the
+    /// cancellable queue token, which carries the grid instant it fires
+    /// at. Kept inline so the per-wake deadline churn needs no side-table
+    /// inserts.
+    pub deadline: Option<EventToken>,
 }
+
+/// Pipeline stages one instance may span. Engine slot ids pack
+/// `uid × MAX_STAGES + stage`, so they stay unique per GPU.
+const MAX_STAGES: u64 = 16;
 
 impl Instance {
     /// Load metric used by the least-loaded balancer.
@@ -87,12 +92,18 @@ impl Instance {
     }
 
     /// Engine-level slot id for pipeline stage `stage` of this instance.
-    ///
-    /// Instances occupy at most 16 stages, so the uid is shifted to keep slot
-    /// ids unique per GPU.
     pub fn slot_id(&self, stage: usize) -> dilu_gpu::InstanceId {
-        debug_assert!(stage < 16, "at most 16 pipeline stages supported");
-        dilu_gpu::InstanceId(self.uid.0 * 16 + stage as u64)
+        debug_assert!(
+            (stage as u64) < MAX_STAGES,
+            "at most {MAX_STAGES} pipeline stages supported"
+        );
+        dilu_gpu::InstanceId(self.uid.0 * MAX_STAGES + stage as u64)
+    }
+
+    /// The instance owning engine slot `slot`: the inverse of
+    /// [`slot_id`](Self::slot_id).
+    pub fn owner_of(slot: dilu_gpu::InstanceId) -> InstanceUid {
+        InstanceUid(slot.0 / MAX_STAGES)
     }
 }
 
@@ -117,6 +128,10 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 8);
+        for s in 0..4 {
+            assert_eq!(Instance::owner_of(a.slot_id(s)), a.uid);
+            assert_eq!(Instance::owner_of(b.slot_id(s)), b.uid);
+        }
     }
 
     #[test]

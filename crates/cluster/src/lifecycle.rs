@@ -491,7 +491,7 @@ impl ClusterSim {
         self.dirty.retain(|&d| d != uid);
         // The deadline record left the map with the instance; cancel its
         // event token so the queue does not fire a stale wake.
-        if let Some((_, token)) = inst.deadline {
+        if let Some(token) = inst.deadline {
             self.events.cancel(token);
         }
         if let Some(f) = self.funcs.get_mut(&inst.func) {
@@ -504,9 +504,7 @@ impl ClusterSim {
             }
         }
         for (stage, gpu) in inst.gpus.iter().enumerate() {
-            let slot = inst.slot_id(stage);
-            self.slot_index.remove(&slot);
-            self.nodes.evict(*gpu, slot);
+            self.nodes.evict(*gpu, inst.slot_id(stage));
         }
     }
 
@@ -576,13 +574,10 @@ impl ClusterSim {
             if self.nodes.admit(*gpu, slot, cfg).is_err() {
                 // Roll back earlier stages.
                 for (s, g) in inst.gpus.iter().enumerate().take(stage) {
-                    let sid = inst.slot_id(s);
-                    self.slot_index.remove(&sid);
-                    self.nodes.evict(*g, sid);
+                    self.nodes.evict(*g, inst.slot_id(s));
                 }
                 return Err(LaunchError::AdmissionRejected);
             }
-            self.slot_index.insert(slot, (uid, stage, func));
         }
         let node = inst.gpus[0].node as usize;
         inst.state = if prewarmed {

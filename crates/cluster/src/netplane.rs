@@ -136,15 +136,14 @@ impl ClusterSim {
             return;
         };
         let due = net.plane.next_finish().map(|t| t.max(self.now));
-        if self.net_wake.map(|(at, _)| at) == due {
+        if self.net_wake.map(|token| token.at()) == due {
             return;
         }
-        if let Some((_, token)) = self.net_wake.take() {
+        if let Some(token) = self.net_wake.take() {
             self.events.cancel(token);
         }
         if let Some(at) = due {
-            let token = self.events.push_cancellable(at, SimEvent::NetFlowDone);
-            self.net_wake = Some((at, token));
+            self.net_wake = Some(self.events.push_cancellable(at, SimEvent::NetFlowDone));
         }
     }
 }

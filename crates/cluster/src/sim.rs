@@ -367,7 +367,6 @@ pub struct ClusterSim {
     pub(crate) arrival_index: BinaryHeap<Reverse<(SimTime, FunctionId)>>,
     pub(crate) pending_resizes: Vec<PendingResize>,
     pub(crate) tags: TagSlab,
-    pub(crate) slot_index: BTreeMap<dilu_gpu::InstanceId, (InstanceUid, usize, FunctionId)>,
     pub(crate) next_uid: u64,
     pub(crate) next_request: u64,
     pub(crate) next_batch: u64,
@@ -382,9 +381,10 @@ pub struct ClusterSim {
     /// The out-of-heap [`SimEvent::GpuQuantum`] chain: the next
     /// one-quantum-ahead wake, if any.
     pub(crate) next_quantum_wake: Option<SimTime>,
-    /// The armed [`SimEvent::NetFlowDone`] wake (instant and cancellation
-    /// token) at the flow plane's earliest finish, if any flow is active.
-    pub(crate) net_wake: Option<(SimTime, dilu_sim::EventToken)>,
+    /// The armed [`SimEvent::NetFlowDone`] wake at the flow plane's
+    /// earliest finish, if any flow is active; its token carries the
+    /// instant.
+    pub(crate) net_wake: Option<dilu_sim::EventToken>,
     /// Instances in `Draining` state (guards the reap scan).
     pub(crate) draining_count: u32,
     /// `true` only inside an event-driven `run_until` — internal mutations
@@ -474,16 +474,12 @@ impl ClusterSim {
             arrival_index: BinaryHeap::new(),
             pending_resizes: Vec::new(),
             tags: TagSlab::default(),
-            slot_index: BTreeMap::new(),
             next_uid: 1,
             next_request: 1,
             next_batch: 1,
             next_sample_at: SimTime::ZERO + config.tick,
             sample_clock: SampleClock::new(),
-            // Near-wheel buckets aligned to the scheduling quantum: every
-            // event fires on the quantum grid, so each bucket holds exactly
-            // one grid instant's events.
-            events: EventQueue::with_granularity(config.quantum),
+            events: EventQueue::new(),
             dirty: Vec::new(),
             next_quantum_wake: None,
             net_wake: None,
@@ -694,7 +690,6 @@ impl ClusterSim {
         }
         self.next_quantum_wake = None;
         self.net_wake = None;
-        self.events.reserve(self.instances.len() + self.funcs.len() + 4);
         self.nodes.rebuild_busy();
         self.dirty =
             self.instances.values().filter(|i| !i.pending.is_empty()).map(|i| i.uid).collect();
@@ -852,20 +847,18 @@ impl ClusterSim {
         let Some(inst) = self.instances.get_mut(&uid) else {
             return;
         };
-        if let Some((at, _)) = inst.deadline {
-            if at == due {
-                return;
-            }
+        if inst.deadline.is_some_and(|token| token.at() == due) {
+            return;
         }
-        if let Some((_, token)) = inst.deadline.take() {
+        if let Some(token) = inst.deadline.take() {
             self.events.cancel(token);
         }
         let token = self.events.push_cancellable(due, SimEvent::BatchDeadline(uid));
-        self.instances.get_mut(&uid).expect("present above").deadline = Some((due, token));
+        self.instances.get_mut(&uid).expect("present above").deadline = Some(token);
     }
 
     pub(crate) fn cancel_deadline(&mut self, uid: InstanceUid) {
-        if let Some((_, token)) = self.instances.get_mut(&uid).and_then(|i| i.deadline.take()) {
+        if let Some(token) = self.instances.get_mut(&uid).and_then(|i| i.deadline.take()) {
             self.events.cancel(token);
         }
     }
@@ -932,12 +925,18 @@ impl ClusterSim {
             let submitted = before.saturating_sub(self.pending_training.len()) as u64;
             self.profiler.record(SimPhase::Train, pt, submitted);
         }
+        let net_ready = self.net.is_some().then(|| {
+            let pt = self.profiler.start();
+            let (net_ready, flows_done) = self.process_net_phase();
+            debug_assert!(
+                !net_due || flows_done > 0,
+                "a NetFlowDone wake at {t} completed no flow"
+            );
+            self.profiler.record(SimPhase::Net, pt, flows_done);
+            net_ready
+        });
         let pt = self.profiler.start();
-        let (net_ready, flows_done) = self.process_net_phase();
-        debug_assert!(!net_due || flows_done > 0, "a NetFlowDone wake at {t} completed no flow");
-        self.profiler.record(SimPhase::Net, pt, flows_done);
-        let pt = self.profiler.start();
-        if self.net.is_some() {
+        if let Some(net_ready) = net_ready {
             // Merge fetch-completed promotions with event-carried ones in
             // uid order, matching the dense stepper's BTreeMap scan.
             ready.extend(net_ready);
@@ -1008,9 +1007,11 @@ impl ClusterSim {
         self.submit_due_training();
         let submitted = before.saturating_sub(self.pending_training.len()) as u64;
         self.profiler.record(SimPhase::Train, pt, submitted);
-        let pt = self.profiler.start();
-        let (_, flows_done) = self.process_net_phase();
-        self.profiler.record(SimPhase::Net, pt, flows_done);
+        if self.net.is_some() {
+            let pt = self.profiler.start();
+            let (_, flows_done) = self.process_net_phase();
+            self.profiler.record(SimPhase::Net, pt, flows_done);
+        }
         let pt = self.profiler.start();
         let promoted = self.promote_ready_instances();
         self.profiler.record(SimPhase::Promote, pt, promoted);

@@ -1,7 +1,7 @@
 //! Steady-state allocation discipline: once the event core is warm, wakes
 //! run out of reused scratch — policy grant buffers, request-vector pools,
-//! the tag slab, inline deadlines, wheel buckets — and the dispatch/step/
-//! merge path stops allocating.
+//! the tag slab, inline deadlines, the event queue's B-tree nodes — and the
+//! dispatch/step/merge path stops allocating.
 //!
 //! A counting global allocator measures a warm window of simulated time.
 //! The bounds are not literally zero because observability is allowed to

@@ -1,8 +1,8 @@
 //! # dilu-lint — the workspace determinism auditor
 //!
 //! Every guarantee this reproduction sells — byte-identical
-//! `ClusterReport` JSON across dense-quantum / serial-event /
-//! parallel-event at any thread count — rests on source-level invariants:
+//! `ClusterReport` JSON across the dense-quantum stepper, the event-driven
+//! core and record→replay — rests on source-level invariants:
 //! no unordered map iteration on sim paths, no ambient time or randomness,
 //! fixed-order parallel merges, no order-sensitive float folds. The
 //! differential fuzzer catches violations *after* a seed happens to trip

@@ -1,7 +1,5 @@
 //! Algorithm 1: heuristic GPU scheduling.
 
-use std::collections::BTreeSet;
-
 use dilu_cluster::{ClusterView, FunctionId, FunctionSpec, GpuAddr, GpuView, Placement};
 use serde::{Deserialize, Serialize};
 
@@ -83,18 +81,16 @@ impl DiluScheduler {
     }
 
     /// `SelectOptGPU` over `candidates` (Algorithm 1 lines 19–29), excluding
-    /// already-chosen GPUs of this placement.
-    fn select_opt(
+    /// already-chosen GPUs of this placement. Every pick breaks ties by
+    /// address, so the candidates' order never matters.
+    fn select_opt<'a>(
         &self,
-        candidates: &[&GpuView],
+        candidates: impl Iterator<Item = &'a GpuView>,
         func: &FunctionSpec,
-        exclude: &BTreeSet<GpuAddr>,
+        exclude: &[GpuAddr],
         multi_gpu: bool,
     ) -> Option<GpuAddr> {
-        let feasible = candidates
-            .iter()
-            .filter(|g| !exclude.contains(&g.addr))
-            .filter(|g| self.feasible(g, func));
+        let feasible = candidates.filter(|g| !exclude.contains(&g.addr) && self.feasible(g, func));
         if multi_gpu {
             // Memory-based worst fit: most remaining memory first, to keep
             // pipeline stages few and fat (Principle-2 for LLMs).
@@ -113,18 +109,15 @@ impl DiluScheduler {
         }
     }
 
-    /// Functions already sharing a GPU with `func` anywhere in the cluster.
-    fn partners(cluster: &ClusterView, func: FunctionId) -> BTreeSet<FunctionId> {
-        let mut partners = BTreeSet::new();
-        for gpu in &cluster.gpus {
-            if gpu.hosts_function(func) {
-                for r in &gpu.residents {
-                    if r.func != func {
-                        partners.insert(r.func);
-                    }
-                }
-            }
+    /// Functions already sharing a GPU with `func` anywhere in the cluster,
+    /// sorted and deduplicated.
+    fn partners(cluster: &ClusterView, func: FunctionId) -> Vec<FunctionId> {
+        let mut partners = Vec::new();
+        for gpu in cluster.gpus.iter().filter(|g| g.hosts_function(func)) {
+            partners.extend(gpu.residents.iter().map(|r| r.func).filter(|&f| f != func));
         }
+        partners.sort_unstable();
+        partners.dedup();
         partners
     }
 }
@@ -134,30 +127,22 @@ impl Placement for DiluScheduler {
         let partners = if self.config.workload_affinity {
             Self::partners(cluster, func.id)
         } else {
-            BTreeSet::new()
+            Vec::new()
         };
+        let hosts_partner =
+            |g: &GpuView| g.residents.iter().any(|r| partners.binary_search(&r.func).is_ok());
         let multi_gpu = func.gpus_per_instance > 1;
-        let mut chosen: BTreeSet<GpuAddr> = BTreeSet::new();
+        // The GPUs picked so far, one per stage; also the exclusion list.
         let mut result = Vec::with_capacity(func.gpus_per_instance as usize);
 
         for _ in 0..func.gpus_per_instance {
-            let active: Vec<&GpuView> = cluster.gpus.iter().filter(|g| g.occupied()).collect();
+            let active = cluster.gpus.iter().filter(|g| g.occupied());
             // Workload-affinity candidates: active GPUs hosting a partner
             // function (Algorithm 1 lines 11-12).
-            let wa: Vec<&GpuView> = active
-                .iter()
-                .copied()
-                .filter(|g| g.residents.iter().any(|r| partners.contains(&r.func)))
-                .collect();
             let pick = self
-                .select_opt(&wa, func, &chosen, multi_gpu)
+                .select_opt(active.clone().filter(|g| hosts_partner(g)), func, &result, multi_gpu)
                 .or_else(|| {
-                    let rest: Vec<&GpuView> = active
-                        .iter()
-                        .copied()
-                        .filter(|g| !g.residents.iter().any(|r| partners.contains(&r.func)))
-                        .collect();
-                    self.select_opt(&rest, func, &chosen, multi_gpu)
+                    self.select_opt(active.filter(|g| !hosts_partner(g)), func, &result, multi_gpu)
                 })
                 .or_else(|| {
                     // No active GPU works: start a new GPU instance
@@ -165,11 +150,10 @@ impl Placement for DiluScheduler {
                     cluster
                         .gpus
                         .iter()
-                        .filter(|g| !g.occupied() && !chosen.contains(&g.addr))
+                        .filter(|g| !g.occupied() && !result.contains(&g.addr))
                         .find(|g| self.feasible(g, func))
                         .map(|g| g.addr)
                 })?;
-            chosen.insert(pick);
             result.push(pick);
         }
         Some(result)
@@ -187,6 +171,7 @@ mod tests {
     use dilu_gpu::{SmRate, TaskClass, GB};
     use dilu_models::ModelId;
     use dilu_sim::SimDuration;
+    use std::collections::BTreeSet;
 
     fn func(id: u32, request: f64, limit: f64, mem_gb: u64, gpus: u32) -> FunctionSpec {
         FunctionSpec {

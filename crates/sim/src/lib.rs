@@ -2,9 +2,10 @@
 //!
 //! Everything in this workspace runs on simulated time: [`SimTime`] and
 //! [`SimDuration`] are integer-microsecond newtypes, [`EventQueue`] is a
-//! stable-ordered future event list, and [`rng`] provides seeded,
-//! stream-splittable random number generators so that every experiment is
-//! reproducible from a single seed.
+//! future event list ordered by `(instant, push sequence)`, so same-instant
+//! events pop in push order and a cancellation token is the event's key,
+//! and [`rng`] provides seeded, stream-splittable random number generators
+//! so that every experiment is reproducible from a single seed.
 //!
 //! # Examples
 //!
