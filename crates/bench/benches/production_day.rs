@@ -1,20 +1,16 @@
 //! Production-day macro bench: runs
 //! `examples/scenarios/production-day.toml` (10,000 functions, one
 //! simulated day, ≥10 million requests) through the streaming arrival
-//! plane, then again with `arrival_window = 0` (every schedule
-//! materialized up front), verifies the two reports are byte-identical,
-//! and records wall time plus peak RSS in `BENCH_production_day.json` at
-//! the repository root so future PRs track the macro-tier trajectory.
+//! plane and records wall time plus peak RSS in
+//! `BENCH_production_day.json` at the repository root so future PRs
+//! track the macro-tier trajectory.
 //!
-//! Peak RSS is `VmHWM` from `/proc/self/status` — a process-wide
-//! high-water mark, so the streamed lane runs (and is measured) first;
-//! the materialized lane can only push the mark up from there, and the
-//! delta is what pre-materializing a production day costs.
+//! Peak RSS is `VmHWM` from `/proc/self/status` — the process-wide
+//! high-water mark of the one run.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dilu_cluster::ClusterReport;
 use dilu_core::{Registry, ScenarioConfig};
 
 fn repo_root() -> PathBuf {
@@ -35,21 +31,6 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn run(config: &ScenarioConfig, arrival_window: Option<u32>) -> (ClusterReport, f64) {
-    let mut config = config.clone();
-    if let Some(window) = arrival_window {
-        config.sim.get_or_insert_with(Default::default).arrival_window = Some(window);
-    }
-    let registry = Registry::with_defaults();
-    let scenario = config
-        .into_builder(&registry)
-        .and_then(|b| b.build())
-        .expect("production-day scenario composes");
-    let started = Instant::now();
-    let report = scenario.run().expect("production-day scenario runs");
-    (report, started.elapsed().as_secs_f64())
-}
-
 fn main() {
     let path = repo_root().join("examples/scenarios/production-day.toml");
     let config = ScenarioConfig::load(&path).expect("shipped scenario parses");
@@ -61,36 +42,22 @@ fn main() {
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
 
     println!(
-        "== production-day: {functions} functions, {horizon_secs} s simulated, \
-         streamed then materialized ({hardware_threads} hardware threads) =="
+        "== production-day: {functions} functions, {horizon_secs} s simulated \
+         ({hardware_threads} hardware threads) =="
     );
 
-    // Streamed lane first: its peak RSS must be read before anything
-    // bigger runs in this process.
-    let (streamed_report, streamed_secs) = run(&config, None);
-    let streamed_rss = peak_rss_bytes();
-    let requests: u64 = streamed_report.inference.values().map(|f| f.arrived).sum();
-    println!(
-        "streaming (bounded window): {streamed_secs:.1} s wall, peak RSS {} MiB, \
-         {requests} requests",
-        streamed_rss >> 20,
-    );
+    let registry = Registry::with_defaults();
+    let scenario = config
+        .into_builder(&registry)
+        .and_then(|b| b.build())
+        .expect("production-day scenario composes");
+    let started = Instant::now();
+    let report = scenario.run().expect("production-day scenario runs");
+    let wall_secs = started.elapsed().as_secs_f64();
+    let peak_rss = peak_rss_bytes();
+    let requests: u64 = report.inference.values().map(|f| f.arrived).sum();
+    println!("{wall_secs:.1} s wall, peak RSS {} MiB, {requests} requests", peak_rss >> 20);
     assert!(requests >= 10_000_000, "production day means at least 10M requests, got {requests}");
-
-    // Materialized lane: identical simulation, O(total requests) arrival
-    // memory. The report must not move by a byte.
-    let (materialized_report, materialized_secs) = run(&config, Some(0));
-    let materialized_rss = peak_rss_bytes();
-    println!(
-        "materialized (window = 0):  {materialized_secs:.1} s wall, peak RSS {} MiB",
-        materialized_rss >> 20,
-    );
-    let streamed_json = serde_json::to_string(&streamed_report).expect("report serializes");
-    let materialized_json = serde_json::to_string(&materialized_report).expect("report serializes");
-    assert_eq!(
-        streamed_json, materialized_json,
-        "streamed and materialized production-day reports diverged"
-    );
 
     let out = repo_root().join("BENCH_production_day.json");
     let value = serde::Value::Map(vec![
@@ -98,14 +65,11 @@ fn main() {
         (s("functions"), serde::Value::UInt(u64::from(functions))),
         (s("simulated_secs"), serde::Value::UInt(horizon_secs)),
         (s("requests_served"), serde::Value::UInt(requests)),
-        (s("streamed_wall_secs"), serde::Value::Float(round2(streamed_secs))),
-        (s("streamed_peak_rss_bytes"), serde::Value::UInt(streamed_rss)),
-        (s("materialized_wall_secs"), serde::Value::Float(round2(materialized_secs))),
-        (s("materialized_peak_rss_bytes"), serde::Value::UInt(materialized_rss)),
-        (s("reports_identical"), serde::Value::Bool(true)),
+        (s("streamed_wall_secs"), serde::Value::Float(round2(wall_secs))),
+        (s("streamed_peak_rss_bytes"), serde::Value::UInt(peak_rss)),
         (s("hardware_threads"), serde::Value::UInt(u64::from(hardware_threads))),
-        (s("peak_gpus"), serde::Value::UInt(u64::from(streamed_report.peak_gpus))),
-        (s("mean_svr"), serde::Value::Float(round2(streamed_report.mean_svr() * 100.0))),
+        (s("peak_gpus"), serde::Value::UInt(u64::from(report.peak_gpus))),
+        (s("mean_svr"), serde::Value::Float(round2(report.mean_svr() * 100.0))),
     ]);
     dilu_core::table::write_json_at(&out, &value);
     println!("[json: {}]", out.display());
@@ -115,10 +79,10 @@ fn main() {
     // the serving plane while still catching any O(total requests)
     // regression in arrival handling (a materialized-schedule leak shows
     // up as hundreds of extra MiB here).
-    if streamed_rss > 0 {
+    if peak_rss > 0 {
         assert!(
-            streamed_rss < 4 << 30,
-            "streamed production day peaked at {streamed_rss} bytes of RSS \
+            peak_rss < 4 << 30,
+            "production day peaked at {peak_rss} bytes of RSS \
              (acceptance bound: 4 GiB)"
         );
     }

@@ -48,16 +48,16 @@ fn usage() -> String {
      \n\
      USAGE:\n\
      \x20 dilu run <scenario.toml|.json> [--json <out.json>] [--time-model <event-driven|dense-quantum>]\n\
-     \x20          [--arrival-window <n>] [--profile] [--progress]\n\
+     \x20          [--profile] [--progress]\n\
      \x20     Build the scenario described by the config file and simulate it.\n\
+     \x20     Arrivals stream from each arrival process through a fixed\n\
+     \x20     per-function window of 256 pending instants, so memory scales\n\
+     \x20     with functions, not requests.\n\
      \x20     --time-model overrides the scenario's [sim] time_model (the\n\
      \x20     wake-on-work event engine by default; dense-quantum is the\n\
      \x20     legacy per-quantum stepper kept for comparison).\n\
-     \x20     --arrival-window overrides [sim] arrival_window, the bounded\n\
-     \x20     per-function pending-arrival buffer streamed from each\n\
-     \x20     arrival process (0 materializes every schedule up front; the\n\
-     \x20     report is byte-identical at any window). --profile turns on the\n\
-     \x20     per-phase wall-clock profiler ([sim] profile): a table of\n\
+     \x20     --profile turns on the per-phase wall-clock profiler\n\
+     \x20     ([sim] profile): a table of\n\
      \x20     where the simulation wall clock went, also embedded under\n\
      \x20     \"profile\" in the --json output. --progress paints a\n\
      \x20     simulated-time progress line with a wall-clock ETA to stderr\n\
@@ -111,7 +111,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let mut scenario_path: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut time_model: Option<String> = None;
-    let mut arrival_window: Option<u32> = None;
     let mut profile = false;
     let mut progress = false;
     let mut it = args.iter();
@@ -124,13 +123,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "--time-model" => {
                 let model = it.next().ok_or("--time-model needs a value")?;
                 time_model = Some(model.clone());
-            }
-            "--arrival-window" => {
-                let n = it.next().ok_or("--arrival-window needs a number")?;
-                arrival_window = Some(
-                    n.parse::<u32>()
-                        .map_err(|_| format!("--arrival-window needs a number, got `{n}`"))?,
-                );
             }
             "--profile" => profile = true,
             "--progress" => progress = true,
@@ -146,7 +138,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     let path =
         scenario_path.ok_or_else(|| format!("`dilu run` needs a scenario file\n\n{}", usage()))?;
-    let options = RunOptions { time_model, arrival_window, profile, progress };
+    let options = RunOptions { time_model, profile, progress };
     run_scenario(&path, json_out.as_deref(), &options)
 }
 
@@ -154,7 +146,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 #[derive(Default)]
 struct RunOptions {
     time_model: Option<String>,
-    arrival_window: Option<u32>,
     profile: bool,
     progress: bool,
 }
@@ -165,9 +156,6 @@ fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> R
         // Validated with the rest of the [sim] section when the builder maps
         // the config (unknown values fail there, loudly).
         config.sim.get_or_insert_with(Default::default).time_model = Some(model.clone());
-    }
-    if let Some(window) = options.arrival_window {
-        config.sim.get_or_insert_with(Default::default).arrival_window = Some(window);
     }
     if options.profile {
         config.sim.get_or_insert_with(Default::default).profile = Some(true);

@@ -1,8 +1,6 @@
-//! `dilu run --progress` and `--arrival-window`, end to end: the progress
-//! ticker is stderr-only observability (stdout and `--json` files stay
-//! byte-identical to a plain run), and any arrival-window override —
-//! including `0`, the materialize-everything comparison path — leaves the
-//! report bytes untouched.
+//! `dilu run --progress`, end to end: the progress ticker is stderr-only
+//! observability (stdout and `--json` files stay byte-identical to a
+//! plain run).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -104,52 +102,4 @@ fn progress_is_stderr_only_and_does_not_change_the_report() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "--progress must leave the JSON digest untouched");
     assert!(!b.windows(10).any(|w| w == b"[progress]"), "JSON files never see the ticker");
-}
-
-#[test]
-fn arrival_window_override_does_not_change_the_report() {
-    let scenario = write_scenario("progress-window-scenario.toml");
-    let (default_json, zero_json, tiny_json) =
-        (scratch("win-default.json"), scratch("win-zero.json"), scratch("win-tiny.json"));
-    run_dilu(&["run", scenario.to_str().unwrap(), "--json", default_json.to_str().unwrap()]);
-    run_dilu(&[
-        "run",
-        scenario.to_str().unwrap(),
-        "--arrival-window",
-        "0",
-        "--json",
-        zero_json.to_str().unwrap(),
-    ]);
-    run_dilu(&[
-        "run",
-        scenario.to_str().unwrap(),
-        "--arrival-window",
-        "1",
-        "--json",
-        tiny_json.to_str().unwrap(),
-    ]);
-    let default = std::fs::read(&default_json).expect("default digest");
-    assert!(!default.is_empty());
-    assert_eq!(
-        default,
-        std::fs::read(&zero_json).expect("zero digest"),
-        "--arrival-window 0 (materialized) must match the streamed default"
-    );
-    assert_eq!(
-        default,
-        std::fs::read(&tiny_json).expect("tiny digest"),
-        "--arrival-window 1 must match the streamed default"
-    );
-}
-
-#[test]
-fn bogus_arrival_window_fails_loudly() {
-    let scenario = write_scenario("progress-bogus-window-scenario.toml");
-    let out = Command::new(env!("CARGO_BIN_EXE_dilu"))
-        .args(["run", scenario.to_str().unwrap(), "--arrival-window", "lots"])
-        .output()
-        .expect("dilu binary runs");
-    assert!(!out.status.success(), "bogus window must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("lots"), "error names the bad value: {stderr}");
 }

@@ -82,8 +82,9 @@ pub(crate) struct Instance {
 }
 
 /// Pipeline stages one instance may span. Engine slot ids pack
-/// `uid × MAX_STAGES + stage`, so they stay unique per GPU.
-const MAX_STAGES: u64 = 16;
+/// `uid × MAX_STAGES + stage`, so they stay unique per GPU; deployment
+/// rejects specs that span more.
+pub(crate) const MAX_STAGES: u64 = 16;
 
 impl Instance {
     /// Load metric used by the least-loaded balancer.

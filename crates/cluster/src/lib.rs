@@ -49,7 +49,7 @@ pub use lifecycle::DeployError;
 pub use report::{ClusterReport, FunctionReport, TimelinePoint, TrainingReport};
 pub use sim::{
     ArrivalHook, ClusterSim, EventHook, EventRecord, SimConfig, SimEvent, TimeModel,
-    QUANTUM_CHAIN_CODE,
+    ARRIVAL_WINDOW, QUANTUM_CHAIN_CODE,
 };
 pub use spec::{
     cold_start_duration, ClusterSpec, FunctionId, FunctionKind, FunctionSpec, GpuAddr, Quotas,

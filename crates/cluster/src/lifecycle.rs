@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use dilu_gpu::{SlotConfig, TaskClass};
 use dilu_sim::SimTime;
 
-use crate::instance::Instance;
+use crate::instance::{Instance, MAX_STAGES};
 use crate::sim::{new_func_state, ArrivalStream, SimEvent};
 use crate::traits::ClusterView;
 use crate::{
@@ -109,46 +109,15 @@ pub(crate) struct TrainingJob {
 }
 
 impl ClusterSim {
-    /// Deploys an inference function with `initial` pre-warmed instances and
-    /// a pre-generated arrival stream.
+    /// Deploys an inference function with `initial` pre-warmed instances
+    /// whose arrivals are pulled from `process` up to the `end` horizon.
     ///
-    /// # Errors
-    ///
-    /// [`DeployError::DuplicateFunction`] if the id is taken;
-    /// [`DeployError::PlacementFailed`] if any initial instance cannot be
-    /// placed.
-    pub fn deploy_inference(
-        &mut self,
-        spec: FunctionSpec,
-        initial: u32,
-        arrivals: Vec<SimTime>,
-    ) -> Result<(), DeployError> {
-        if self.funcs.contains_key(&spec.id) {
-            return Err(DeployError::DuplicateFunction(spec.id));
-        }
-        debug_assert!(spec.kind.is_inference(), "use deploy_training for training functions");
-        self.validate_spec(&spec)?;
-        let id = spec.id;
-        let state = new_func_state(spec, arrivals);
-        if let Some(&head) = state.arrivals.front() {
-            self.arrival_index.push(std::cmp::Reverse((head, id)));
-        }
-        self.funcs.insert(id, state);
-        for _ in 0..initial {
-            self.launch_instance(id, true).map_err(|_| DeployError::PlacementFailed(id))?;
-        }
-        Ok(())
-    }
-
-    /// Deploys an inference function whose arrivals are *streamed*: the
-    /// process is pulled in bounded chunks (at most
-    /// [`SimConfig::arrival_window`](crate::SimConfig::arrival_window)
-    /// pending instants are ever held in memory) up to the `end` horizon,
-    /// instead of being materialized up front. Identical simulation
-    /// results to pre-generating `process.generate(end)` and deploying it
-    /// with [`deploy_inference`](Self::deploy_inference) — arrival
-    /// processes draw the same instants at every chunking — at O(window)
-    /// instead of O(total requests) memory per function.
+    /// The process is *streamed*: ingest pulls it in chunks of at most
+    /// [`ARRIVAL_WINDOW`](crate::ARRIVAL_WINDOW) instants, so a function's
+    /// arrival memory is O(window), never O(total requests). Callers
+    /// holding explicit instants pass a
+    /// [`ReplayProcess`](dilu_workload::ReplayProcess) with
+    /// [`SimTime::MAX`] as `end`.
     ///
     /// The first chunk is pulled lazily at the next
     /// [`run_until`](Self::run_until) entry, so hooks registered before
@@ -157,9 +126,10 @@ impl ClusterSim {
     /// # Errors
     ///
     /// [`DeployError::DuplicateFunction`] if the id is taken;
-    /// [`DeployError::PlacementFailed`] if any initial instance cannot be
-    /// placed.
-    pub fn deploy_inference_streaming(
+    /// [`DeployError::InvalidSpec`] / [`DeployError::ClusterTooSmall`] for
+    /// structurally impossible specs; [`DeployError::PlacementFailed`] if
+    /// any initial instance cannot be placed.
+    pub fn deploy_inference(
         &mut self,
         spec: FunctionSpec,
         initial: u32,
@@ -172,7 +142,7 @@ impl ClusterSim {
         debug_assert!(spec.kind.is_inference(), "use deploy_training for training functions");
         self.validate_spec(&spec)?;
         let id = spec.id;
-        let mut state = new_func_state(spec, Vec::new());
+        let mut state = new_func_state(spec);
         state.stream = Some(ArrivalStream { process, end });
         self.funcs.insert(id, state);
         for _ in 0..initial {
@@ -197,7 +167,7 @@ impl ClusterSim {
         };
         self.validate_spec(&spec)?;
         let id = spec.id;
-        self.funcs.insert(id, new_func_state(spec, Vec::new()));
+        self.funcs.insert(id, new_func_state(spec));
         let mut uids = Vec::new();
         for _ in 0..workers {
             match self.launch_instance(id, true) {
@@ -257,6 +227,12 @@ impl ClusterSim {
         let func = spec.id;
         if spec.gpus_per_instance == 0 {
             return Err(DeployError::InvalidSpec { func, reason: "gpus_per_instance is zero" });
+        }
+        if u64::from(spec.gpus_per_instance) > MAX_STAGES {
+            return Err(DeployError::InvalidSpec {
+                func,
+                reason: "gpus_per_instance exceeds the 16 supported pipeline stages",
+            });
         }
         if spec.quotas.mem_bytes == 0 {
             return Err(DeployError::InvalidSpec { func, reason: "memory reservation is zero" });

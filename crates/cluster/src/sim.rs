@@ -103,17 +103,6 @@ pub struct SimConfig {
     /// wall clock around every phase, which costs a few percent at macro
     /// scale. Purely observational: reports are byte-identical either way.
     pub profile: bool,
-    /// Cap on the pending-arrival window a streaming deployment
-    /// ([`ClusterSim::deploy_inference_streaming`]) keeps in memory per
-    /// function. The window refills in chunks of at most this many
-    /// instants as ingest drains it; `0` means unbounded (the whole
-    /// stream is pulled on the first refill, reproducing pre-streaming
-    /// memory behaviour). Because arrival processes draw identical
-    /// instants at every chunking (see
-    /// [`dilu_workload::ArrivalProcess::refill`]), reports are
-    /// byte-identical at every setting — the window trades peak memory
-    /// only, never results.
-    pub arrival_window: u32,
     /// Records per-function time series (per-second [`TimelinePoint`]s and
     /// kernel-block counts) in the report. On by default; production-scale
     /// scenarios (many thousands of functions over long horizons) turn it
@@ -134,11 +123,18 @@ impl Default for SimConfig {
             time_model: TimeModel::EventDriven,
             network: None,
             profile: false,
-            arrival_window: 256,
             function_series: true,
         }
     }
 }
+
+/// Cap on the pending-arrival window every inference function keeps in
+/// memory. Ingest refills the window in chunks of at most this many
+/// instants as it drains, so a function's arrival memory is O(window),
+/// never O(total requests). Arrival processes draw identical instants at
+/// every chunking (see [`dilu_workload::ArrivalProcess::refill`]), so the
+/// window sizes memory only, never results.
+pub const ARRIVAL_WINDOW: usize = 256;
 
 /// One entry of the event-driven core's future event list.
 ///
@@ -277,13 +273,13 @@ pub type EventHook = Box<dyn FnMut(EventRecord)>;
 
 /// Observer of every pending-arrival window refill, in execution order:
 /// called with the function and the chunk of instants just pulled from its
-/// arrival stream, before they are ingested. Streaming deployments pass
-/// every arrival instant through exactly one refill chunk, so this is the
-/// record side of `dilu-replay`'s arrival capture — it sees the complete
-/// schedule without the simulator ever materialising it.
+/// arrival stream, before they are ingested. Every arrival instant passes
+/// through exactly one refill chunk, so this is the record side of
+/// `dilu-replay`'s arrival capture — it sees the complete schedule without
+/// the simulator ever materialising it.
 pub type ArrivalHook = Box<dyn FnMut(FunctionId, &[SimTime])>;
 
-/// The not-yet-pulled tail of a streaming deployment's arrival schedule.
+/// The not-yet-pulled tail of an inference function's arrival schedule.
 ///
 /// Dropped (the whole struct) once a refill comes back short — the process
 /// is exhausted before the horizon, and freeing it is what keeps a
@@ -308,13 +304,12 @@ pub(crate) struct FuncState {
     /// launch/terminate so routing never scans the whole cluster).
     pub(crate) instance_ids: Vec<InstanceUid>,
     /// The bounded pending-arrival window: the next instants due for
-    /// ingest. A materialized deployment holds its whole schedule here; a
-    /// streaming one holds at most [`SimConfig::arrival_window`] instants,
-    /// refilled from `stream` as ingest drains it. Invariant (after any
-    /// refill attempt): empty ⇔ `stream` is `None`.
+    /// ingest, at most [`ARRIVAL_WINDOW`] of them, refilled from `stream`
+    /// as ingest drains it. Invariant (after any refill attempt): empty ⇔
+    /// `stream` is `None`.
     pub(crate) arrivals: VecDeque<SimTime>,
     /// The rest of the arrival schedule, still inside the process
-    /// (`None` for materialized deployments and exhausted streams).
+    /// (`None` for training functions and exhausted streams).
     pub(crate) stream: Option<ArrivalStream>,
     pub(crate) backlog: VecDeque<Request>,
     pub(crate) latency: LatencyRecorder,
@@ -354,7 +349,7 @@ pub struct ClusterSim {
     pub(crate) audit_hook: Option<AuditHook>,
     /// Observer invoked with every event-core pop (see [`EventHook`]).
     pub(crate) event_hook: Option<EventHook>,
-    /// Observer invoked with every arrival-window refill chunk (see
+    /// Observer invoked with every pending-arrival window refill chunk (see
     /// [`ArrivalHook`]).
     pub(crate) arrival_hook: Option<ArrivalHook>,
     /// Lazy min-index over pending-arrival window heads: holds at least
@@ -405,7 +400,7 @@ pub struct ClusterSim {
     pub(crate) routed_buf: Vec<(FunctionId, Request)>,
     /// Scratch for `ingest_arrivals`' due-function list.
     pub(crate) due_funcs_buf: Vec<FunctionId>,
-    /// Scratch chunk buffer for arrival-window refills.
+    /// Scratch chunk buffer for pending-arrival window refills.
     pub(crate) refill_buf: Vec<SimTime>,
     /// Per-wake scratch: instances promoted / whose deadline fired at this
     /// wake. Drained and handed back at the end of every wake.
@@ -554,16 +549,12 @@ impl ClusterSim {
         self.event_hook = Some(hook);
     }
 
-    /// Registers an observer invoked with every arrival-window refill
+    /// Registers an observer invoked with every pending-arrival window refill
     /// chunk, in execution order (see [`ArrivalHook`]). Replaces any
     /// previous hook.
     ///
-    /// Streaming deployments pass every arrival instant through exactly
-    /// one chunk, so accumulating the chunks reconstructs the complete
-    /// schedule. Materialized deployments
-    /// ([`deploy_inference`](Self::deploy_inference)) never refill and are
-    /// invisible here — snapshot them via
-    /// [`arrival_schedule`](Self::arrival_schedule) instead.
+    /// Every arrival instant passes through exactly one chunk, so
+    /// accumulating the chunks reconstructs the complete schedule.
     pub fn set_arrival_hook(&mut self, hook: ArrivalHook) {
         self.arrival_hook = Some(hook);
     }
@@ -571,12 +562,11 @@ impl ClusterSim {
     /// The *currently pending* arrival instants of every inference
     /// function, in function-id order.
     ///
-    /// For materialized deployments this is the full not-yet-ingested
-    /// schedule; for streaming deployments it is only the bounded window
-    /// pulled so far (see [`SimConfig::arrival_window`]) — the complete
-    /// stream is observable through
-    /// [`set_arrival_hook`](Self::set_arrival_hook). A run *consumes*
-    /// these queues.
+    /// This is only the bounded window pulled so far (at most
+    /// [`ARRIVAL_WINDOW`] instants per function, and nothing before the
+    /// first [`run_until`](Self::run_until)) — the complete stream is
+    /// observable through [`set_arrival_hook`](Self::set_arrival_hook). A
+    /// run *consumes* these queues.
     pub fn arrival_schedule(&self) -> Vec<(FunctionId, Vec<SimTime>)> {
         self.funcs
             .iter()
@@ -606,11 +596,11 @@ impl ClusterSim {
     /// Both models stop at the same instant (the first quantum boundary at
     /// or after `t_end`) and may be called repeatedly to continue a run.
     pub fn run_until(&mut self, t_end: SimTime) {
-        // First entry after a streaming deployment: pull the initial
-        // window chunks. Deferred from deploy time to here so hooks
+        // First entry after a deployment: pull the initial window
+        // chunks. Deferred from deploy time to here so hooks
         // registered between deploy and run (the record side of
         // `dilu-replay`) observe the very first chunk.
-        self.prime_arrival_windows();
+        self.prime_pending_arrivals();
         match self.config.time_model {
             TimeModel::EventDriven => self.run_until_events(t_end),
             TimeModel::DenseQuantum => {
@@ -762,7 +752,7 @@ impl ClusterSim {
             match self.funcs.get(&id).and_then(|f| f.arrivals.front().copied()) {
                 Some(head) if head == t => return Some(t),
                 Some(head) => {
-                    debug_assert!(head > t, "arrival-window heads only advance");
+                    debug_assert!(head > t, "pending-arrival heads only advance");
                     self.arrival_index.pop();
                     self.arrival_index.push(Reverse((head, id)));
                 }
@@ -774,11 +764,11 @@ impl ClusterSim {
         None
     }
 
-    /// Pulls the initial window chunk for every streaming function whose
+    /// Pulls the initial window chunk for every inference function whose
     /// window is empty. Idempotent: a non-empty window or an exhausted
     /// (dropped) stream makes it a no-op, so repeated `run_until` calls
     /// prime at most once per function.
-    fn prime_arrival_windows(&mut self) {
+    fn prime_pending_arrivals(&mut self) {
         let empty: Vec<FunctionId> = self
             .funcs
             .iter()
@@ -791,16 +781,11 @@ impl ClusterSim {
     }
 
     /// Refills `id`'s pending-arrival window with the next chunk of its
-    /// stream (at most [`SimConfig::arrival_window`] instants; everything
-    /// up to the horizon when the window is 0), fires the arrival hook
-    /// with the chunk, and indexes the new head. Drops the stream when it
-    /// comes back short — exhausted before the horizon — so the invariant
-    /// "window empty ⇔ stream `None`" holds after every call.
+    /// stream (at most [`ARRIVAL_WINDOW`] instants), fires the arrival
+    /// hook with the chunk, and indexes the new head. Drops the stream
+    /// when it comes back short — exhausted before the horizon — so the
+    /// invariant "window empty ⇔ stream `None`" holds after every call.
     pub(crate) fn refill_arrivals(&mut self, id: FunctionId) {
-        let max = match self.config.arrival_window {
-            0 => usize::MAX,
-            w => w as usize,
-        };
         let mut chunk = std::mem::take(&mut self.refill_buf);
         chunk.clear();
         let Some(f) = self.funcs.get_mut(&id) else {
@@ -811,9 +796,9 @@ impl ClusterSim {
             self.refill_buf = chunk;
             return;
         };
-        let got = stream.process.refill(stream.end, max, &mut chunk);
+        let got = stream.process.refill(stream.end, ARRIVAL_WINDOW, &mut chunk);
         debug_assert_eq!(got, chunk.len(), "refill count disagrees with chunk length");
-        if got < max {
+        if got < ARRIVAL_WINDOW {
             f.stream = None;
         }
         if got > 0 {
@@ -1120,13 +1105,13 @@ impl ClusterSim {
     }
 }
 
-pub(crate) fn new_func_state(spec: FunctionSpec, arrivals: Vec<SimTime>) -> FuncState {
+pub(crate) fn new_func_state(spec: FunctionSpec) -> FuncState {
     FuncState {
         profiled: (spec.quotas.request, spec.quotas.limit),
         spec,
         capacity: None,
         instance_ids: Vec::new(),
-        arrivals: arrivals.into(),
+        arrivals: VecDeque::new(),
         stream: None,
         backlog: VecDeque::new(),
         latency: LatencyRecorder::new(),

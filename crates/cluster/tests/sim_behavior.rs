@@ -11,7 +11,12 @@ use dilu_gpu::policies::FairSharePolicy;
 use dilu_gpu::SmRate;
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
-use dilu_workload::{ArrivalProcess, PoissonProcess};
+use dilu_workload::{ArrivalProcess, PoissonProcess, ReplayProcess};
+
+/// No arrivals at all: a deployed-but-idle function.
+fn idle() -> Box<dyn ArrivalProcess> {
+    Box::new(ReplayProcess::new([]))
+}
 
 /// Places on the first GPU (or GPUs) with enough free memory.
 struct FirstFit;
@@ -109,7 +114,7 @@ fn single_inference_function_serves_requests() {
     let spec = inference_spec(1, ModelId::RobertaLarge, 4);
     let arrivals = PoissonProcess::new(20.0, 7).generate(SimTime::from_secs(20));
     let expected = arrivals.len() as u64;
-    sim.deploy_inference(spec, 1, arrivals).unwrap();
+    sim.deploy_inference(spec, 1, Box::new(ReplayProcess::new(arrivals)), SimTime::MAX).unwrap();
     sim.run_until(SimTime::from_secs(25));
     let report = sim.into_report();
     let f = &report.inference[&FunctionId(1)];
@@ -171,8 +176,8 @@ fn cold_started_instance_picks_up_backlog() {
         &fair_factory(),
     );
     // No initial instances: everything backlogs until the scaler fires.
-    let arrivals = PoissonProcess::new(5.0, 3).generate(SimTime::from_secs(10));
-    sim.deploy_inference(spec, 0, arrivals).unwrap();
+    let arrivals = Box::new(PoissonProcess::new(5.0, 3));
+    sim.deploy_inference(spec, 0, arrivals, SimTime::from_secs(10)).unwrap();
     sim.run_until(SimTime::from_secs(20));
     let report = sim.into_report();
     let f = &report.inference[&func];
@@ -200,8 +205,8 @@ fn cold_starting_instances_occupy_their_gpus() {
         Box::new(OneShotScaler { fired: false, func }),
         &fair_factory(),
     );
-    let arrivals = PoissonProcess::new(5.0, 3).generate(SimTime::from_secs(6));
-    sim.deploy_inference(spec, 0, arrivals).unwrap();
+    let arrivals = Box::new(PoissonProcess::new(5.0, 3));
+    sim.deploy_inference(spec, 0, arrivals, SimTime::from_secs(6)).unwrap();
     assert_eq!(sim.occupied_gpus(), 0, "no instances yet");
     // Run past the scaler's t=2 s scale-out but not past the ResNet-152
     // cold start (≥ 1 s): the instance is still ColdStarting.
@@ -243,7 +248,7 @@ fn pipelined_llm_instance_spans_gpus() {
     };
     let arrivals = PoissonProcess::new(2.0, 5).generate(SimTime::from_secs(20));
     let expected = arrivals.len() as u64;
-    sim.deploy_inference(spec, 1, arrivals).unwrap();
+    sim.deploy_inference(spec, 1, Box::new(ReplayProcess::new(arrivals)), SimTime::MAX).unwrap();
     assert_eq!(sim.occupied_gpus(), 4, "stages must land on 4 GPUs");
     sim.run_until(SimTime::from_secs(30));
     let report = sim.into_report();
@@ -302,8 +307,8 @@ fn vertical_resizes_apply_and_are_counted() {
         Box::new(ResizeProbe { func, fired: false, seen: seen.clone() }),
         &fair_factory(),
     );
-    let arrivals = PoissonProcess::new(10.0, 7).generate(SimTime::from_secs(6));
-    sim.deploy_inference(spec, 1, arrivals).unwrap();
+    let arrivals = Box::new(PoissonProcess::new(10.0, 7));
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(6)).unwrap();
     sim.run_until(SimTime::from_secs(6));
     let report = sim.into_report();
     let f = &report.inference[&func];
@@ -374,8 +379,8 @@ fn zero_resize_latency_matches_dense_stepping() {
             Box::new(PersistentResizer { func, target: SmRate::from_percent(70.0) }),
             &fair_factory(),
         );
-        let arrivals = PoissonProcess::new(20.0, 5).generate(SimTime::from_secs(6));
-        sim.deploy_inference(spec, 1, arrivals).unwrap();
+        let arrivals = Box::new(PoissonProcess::new(20.0, 5));
+        sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(6)).unwrap();
         // A collocated always-busy training worker guarantees the GPU
         // is mid-work at the instant the resize decision lands — a
         // same-instant re-wake would step it twice and double-issue
@@ -419,8 +424,8 @@ fn re_requested_resizes_keep_their_original_due_time() {
         Box::new(PersistentResizer { func, target: SmRate::from_percent(70.0) }),
         &fair_factory(),
     );
-    let arrivals = PoissonProcess::new(5.0, 3).generate(SimTime::from_secs(8));
-    sim.deploy_inference(spec, 1, arrivals).unwrap();
+    let arrivals = Box::new(PoissonProcess::new(5.0, 3));
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(8)).unwrap();
     sim.run_until(SimTime::from_secs(8));
     let report = sim.into_report();
     assert_eq!(
@@ -440,8 +445,8 @@ fn duplicate_deployment_is_rejected() {
         &fair_factory(),
     );
     let spec = inference_spec(1, ModelId::BertBase, 4);
-    sim.deploy_inference(spec.clone(), 0, Vec::new()).unwrap();
-    let err = sim.deploy_inference(spec, 0, Vec::new()).unwrap_err();
+    sim.deploy_inference(spec.clone(), 0, idle(), SimTime::MAX).unwrap();
+    let err = sim.deploy_inference(spec, 0, idle(), SimTime::MAX).unwrap_err();
     assert_eq!(err, DeployError::DuplicateFunction(FunctionId(1)));
 }
 
@@ -468,7 +473,7 @@ fn deploy_placed_by(placement: FixedPlacement, spec: FunctionSpec) {
         Box::new(NullScaler),
         &fair_factory(),
     );
-    let _ = sim.deploy_inference(spec, 1, Vec::new());
+    let _ = sim.deploy_inference(spec, 1, idle(), SimTime::MAX);
 }
 
 #[test]
@@ -531,8 +536,8 @@ fn rejected_admission_leaves_no_cold_start_or_fetch() {
             &fair_factory(),
         );
         // 30 GB resident on the 40 GB GPU; the 20 GB scale-out cannot fit.
-        sim.deploy_inference(bert_with_memory(1, 30), 1, Vec::new()).unwrap();
-        sim.deploy_inference(bert_with_memory(2, 20), 0, Vec::new()).unwrap();
+        sim.deploy_inference(bert_with_memory(1, 30), 1, idle(), SimTime::MAX).unwrap();
+        sim.deploy_inference(bert_with_memory(2, 20), 0, idle(), SimTime::MAX).unwrap();
         sim.run_until(SimTime::from_secs(2));
         let audit = sim.audit();
         let f = audit.functions.iter().find(|f| f.func == FunctionId(2)).expect("fn-2 audited");
@@ -565,9 +570,9 @@ fn refused_shape_does_not_block_smaller_shapes_in_the_same_tick() {
         Box::new(ActOnce(actions)),
         &fair_factory(),
     );
-    sim.deploy_inference(bert_with_memory(1, 30), 1, Vec::new()).unwrap();
-    sim.deploy_inference(bert_with_memory(2, 20), 0, Vec::new()).unwrap();
-    sim.deploy_inference(bert_with_memory(3, 5), 0, Vec::new()).unwrap();
+    sim.deploy_inference(bert_with_memory(1, 30), 1, idle(), SimTime::MAX).unwrap();
+    sim.deploy_inference(bert_with_memory(2, 20), 0, idle(), SimTime::MAX).unwrap();
+    sim.deploy_inference(bert_with_memory(3, 5), 0, idle(), SimTime::MAX).unwrap();
     sim.run_until(SimTime::from_secs(2));
     let audit = sim.audit();
     let instances = |id: u32| {
@@ -610,8 +615,8 @@ fn memo_oracle_catches_identity_dependent_refusals() {
         Box::new(ActOnce(actions)),
         &fair_factory(),
     );
-    sim.deploy_inference(bert_with_memory(1, 5), 0, Vec::new()).unwrap();
-    sim.deploy_inference(bert_with_memory(2, 5), 0, Vec::new()).unwrap();
+    sim.deploy_inference(bert_with_memory(1, 5), 0, idle(), SimTime::MAX).unwrap();
+    sim.deploy_inference(bert_with_memory(2, 5), 0, idle(), SimTime::MAX).unwrap();
     sim.run_until(SimTime::from_secs(2));
 }
 
@@ -625,8 +630,8 @@ fn report_contains_fragmentation_and_occupancy_series() {
         &fair_factory(),
     );
     let spec = inference_spec(1, ModelId::BertBase, 4);
-    let arrivals = PoissonProcess::new(10.0, 1).generate(SimTime::from_secs(5));
-    sim.deploy_inference(spec, 1, arrivals).unwrap();
+    let arrivals = Box::new(PoissonProcess::new(10.0, 1));
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(5)).unwrap();
     sim.run_until(SimTime::from_secs(6));
     let report = sim.into_report();
     assert!(!report.fragmentation.is_empty());

@@ -26,6 +26,7 @@ use dilu_gpu::policies::FairSharePolicy;
 use dilu_gpu::SmRate;
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
+use dilu_workload::ReplayProcess;
 
 /// Places on the first GPUs with enough free memory (one per stage).
 struct FirstFit;
@@ -97,7 +98,8 @@ fn solo_latency(stages: u32, stage_transfer: SimDuration, time_model: TimeModel)
         Box::new(NullScaler),
         &fair_factory(),
     );
-    sim.deploy_inference(spec, 1, vec![SimTime::ZERO]).unwrap();
+    sim.deploy_inference(spec, 1, Box::new(ReplayProcess::new([SimTime::ZERO])), SimTime::MAX)
+        .unwrap();
     sim.run_until(SimTime::from_secs(60));
     let report = sim.into_report();
     let f = &report.inference[&FunctionId(1)];

@@ -1,26 +1,25 @@
-//! Streaming arrival plane: bounded-window pull equals up-front
-//! materialization, and the lazy min-index over window heads equals the
-//! O(#functions) scan it replaced.
+//! Streaming arrival plane: every instant passes through the bounded
+//! per-function window exactly once and on time, and the lazy min-index
+//! over window heads equals the O(#functions) scan it replaced.
 //!
 //! The contracts pinned here are the ones `ScenarioBuilder` and the
-//! replay recorder lean on: a `deploy_inference_streaming` run must be
-//! *indistinguishable* (byte-identical report, identical hook stream)
-//! from `deploy_inference` with the pre-generated schedule, at any
-//! `arrival_window`, and `next_pending_arrival` must always agree with a
-//! full scan over the pending windows.
+//! replay recorder lean on: the arrival hook sees the complete schedule,
+//! a burst larger than [`ARRIVAL_WINDOW`] is still ingested within its
+//! quantum, and `next_pending_arrival` always agrees with a full scan over
+//! the pending windows.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use dilu_cluster::{
-    named, ClusterReport, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId,
-    FunctionKind, FunctionScaleView, FunctionSpec, GpuAddr, Placement, Quotas, ScaleAction,
-    SimConfig,
+    named, ClusterSim, ClusterSpec, ClusterView, ElasticityController, FunctionId, FunctionKind,
+    FunctionScaleView, FunctionSpec, GpuAddr, Placement, Quotas, ScaleAction, SimConfig, TimeModel,
+    ARRIVAL_WINDOW,
 };
 use dilu_gpu::policies::FairSharePolicy;
 use dilu_models::ModelId;
 use dilu_sim::SimTime;
-use dilu_workload::{ArrivalProcess, GammaProcess, PoissonProcess, SynthProcess};
+use dilu_workload::{ArrivalProcess, GammaProcess, PoissonProcess, ReplayProcess, SynthProcess};
 
 struct FirstFit;
 
@@ -97,76 +96,71 @@ const MODELS: [ModelId; 3] = [ModelId::RobertaLarge, ModelId::BertBase, ModelId:
 
 const END: SimTime = SimTime::from_secs(60);
 
-fn deploy_streaming(sim: &mut ClusterSim) {
+fn deploy(sim: &mut ClusterSim) {
     for ((id, process), model) in processes().into_iter().zip(MODELS) {
-        sim.deploy_inference_streaming(infer_spec(id, model), 1, process, END).unwrap();
+        sim.deploy_inference(infer_spec(id, model), 1, process, END).unwrap();
     }
 }
 
-fn deploy_materialized(sim: &mut ClusterSim) {
-    for ((id, mut process), model) in processes().into_iter().zip(MODELS) {
-        sim.deploy_inference(infer_spec(id, model), 1, process.generate(END)).unwrap();
-    }
-}
-
-fn report_debug(report: &ClusterReport) -> String {
-    format!("{report:?}")
-}
-
-/// Tentpole contract: a streamed deployment is indistinguishable from a
-/// materialized one at every window size, including the `0 = unbounded`
-/// comparison path.
+/// The arrival hook observes the complete stream, in order and in
+/// window-sized chunks — the contract the replay recorder depends on.
 #[test]
-fn streaming_equals_materialized_at_every_window() {
-    let mut baseline = sim_with(SimConfig::default());
-    deploy_materialized(&mut baseline);
-    baseline.run_until(SimTime::from_secs(70));
-    let baseline = report_debug(&baseline.into_report());
-
-    for window in [0u32, 1, 2, 7, 256] {
-        let mut sim = sim_with(SimConfig { arrival_window: window, ..SimConfig::default() });
-        deploy_streaming(&mut sim);
-        sim.run_until(SimTime::from_secs(70));
-        let streamed = report_debug(&sim.into_report());
-        assert_eq!(
-            streamed, baseline,
-            "arrival_window = {window} diverged from the materialized run"
-        );
-    }
-}
-
-/// The arrival hook observes the complete stream, in order, regardless of
-/// how refills chunk it — the contract the replay recorder depends on.
-#[test]
-fn arrival_hook_sees_the_full_stream_at_any_chunking() {
+fn arrival_hook_sees_the_full_stream() {
     type Chunks = Vec<(u32, Vec<SimTime>)>;
     let mut expected: Chunks =
         processes().into_iter().map(|(id, mut p)| (id, p.generate(END))).collect();
     expected.sort_by_key(|(id, _)| *id);
 
-    for window in [1u32, 3, 64, 0] {
-        let mut sim = sim_with(SimConfig { arrival_window: window, ..SimConfig::default() });
-        deploy_streaming(&mut sim);
-        let seen: Rc<RefCell<Chunks>> = Rc::new(RefCell::new(Vec::new()));
-        let tap = Rc::clone(&seen);
-        sim.set_arrival_hook(Box::new(move |id, chunk| {
-            tap.borrow_mut().push((id.0, chunk.to_vec()));
-        }));
-        sim.run_until(SimTime::from_secs(70));
-        // Concatenate chunks per function (what replay does) and compare
-        // against the full pre-generated schedules.
-        let mut merged: std::collections::BTreeMap<u32, Vec<SimTime>> =
-            std::collections::BTreeMap::new();
-        for (id, chunk) in seen.borrow().iter() {
-            merged.entry(*id).or_default().extend(chunk.iter().copied());
-        }
-        let merged: Chunks = merged.into_iter().collect();
-        assert_eq!(merged, expected, "window {window} dropped or reordered arrivals");
-        if window == 1 {
-            // Every chunk is a singleton, so the hook fires once per
-            // arrival — the boundary-heavy worst case.
-            assert!(seen.borrow().iter().all(|(_, c)| c.len() == 1));
-        }
+    let mut sim = sim_with(SimConfig::default());
+    deploy(&mut sim);
+    let seen: Rc<RefCell<Chunks>> = Rc::new(RefCell::new(Vec::new()));
+    let tap = Rc::clone(&seen);
+    sim.set_arrival_hook(Box::new(move |id, chunk| {
+        tap.borrow_mut().push((id.0, chunk.to_vec()));
+    }));
+    sim.run_until(SimTime::from_secs(70));
+    assert!(seen.borrow().iter().all(|(_, c)| !c.is_empty() && c.len() <= ARRIVAL_WINDOW));
+    // Concatenate chunks per function (what replay does) and compare
+    // against the full pre-generated schedules.
+    let mut merged: std::collections::BTreeMap<u32, Vec<SimTime>> =
+        std::collections::BTreeMap::new();
+    for (id, chunk) in seen.borrow().iter() {
+        merged.entry(*id).or_default().extend(chunk.iter().copied());
+    }
+    let merged: Chunks = merged.into_iter().collect();
+    assert_eq!(merged, expected, "the hook dropped or reordered arrivals");
+    // The busiest stream spans several windows, so refills mid-run are
+    // on the observed path, not just the priming pull.
+    let longest = expected.iter().map(|(_, times)| times.len()).max().unwrap_or(0);
+    assert!(longest > 4 * ARRIVAL_WINDOW, "only {longest} instants in the busiest stream");
+}
+
+/// A burst of more than two windows' worth of instants at one instant is
+/// ingested within its quantum, on both time models: a window drained
+/// mid-quantum refills and keeps popping, so the cap never delays an
+/// arrival.
+#[test]
+fn a_burst_larger_than_the_window_is_ingested_in_its_quantum() {
+    let burst = 2 * ARRIVAL_WINDOW + 3;
+    let at = SimTime::from_secs(1);
+    for time_model in [TimeModel::EventDriven, TimeModel::DenseQuantum] {
+        let config = SimConfig { time_model, ..SimConfig::default() };
+        let quantum = config.quantum;
+        let mut sim = sim_with(config);
+        let arrivals = Box::new(ReplayProcess::new(vec![at; burst]));
+        sim.deploy_inference(infer_spec(1, ModelId::BertBase), 1, arrivals, SimTime::MAX).unwrap();
+        sim.run_until(at);
+        let before = sim.audit();
+        let func = before.function(FunctionId(1)).expect("deployed");
+        assert_eq!(func.arrived, 0, "{time_model:?}: nothing is due before the burst");
+        assert_eq!(func.pending_arrivals, ARRIVAL_WINDOW as u64, "{time_model:?}: window cap");
+
+        sim.run_until(at + quantum);
+        let after = sim.audit();
+        let func = after.function(FunctionId(1)).expect("deployed");
+        assert_eq!(func.arrived, burst as u64, "{time_model:?}: burst not fully ingested");
+        assert_eq!(func.pending_arrivals, 0, "{time_model:?}: instants left pending");
+        assert_eq!(sim.next_pending_arrival(), None, "{time_model:?}");
     }
 }
 
@@ -176,8 +170,8 @@ fn arrival_hook_sees_the_full_stream_at_any_chunking() {
 /// and gone stale in the heap).
 #[test]
 fn next_pending_arrival_matches_a_full_scan() {
-    let mut sim = sim_with(SimConfig { arrival_window: 3, ..SimConfig::default() });
-    deploy_streaming(&mut sim);
+    let mut sim = sim_with(SimConfig::default());
+    deploy(&mut sim);
     let mut checked = 0usize;
     for checkpoint in [0u64, 1, 2, 5, 13, 30, 59, 61, 70] {
         sim.run_until(SimTime::from_secs(checkpoint));
@@ -196,8 +190,8 @@ fn next_pending_arrival_matches_a_full_scan() {
 /// run boundary.
 #[test]
 fn exhausted_streams_are_dropped() {
-    let mut sim = sim_with(SimConfig { arrival_window: 4, ..SimConfig::default() });
-    deploy_streaming(&mut sim);
+    let mut sim = sim_with(SimConfig::default());
+    deploy(&mut sim);
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(sim.next_pending_arrival(), None);
     assert!(

@@ -23,7 +23,12 @@ use dilu_gpu::policies::FairSharePolicy;
 use dilu_gpu::SmRate;
 use dilu_models::ModelId;
 use dilu_sim::SimTime;
-use dilu_workload::{ArrivalProcess, PoissonProcess};
+use dilu_workload::{ArrivalProcess, PoissonProcess, ReplayProcess};
+
+/// No arrivals at all: a deployed-but-idle function.
+fn idle() -> Box<dyn ArrivalProcess> {
+    Box::new(ReplayProcess::new([]))
+}
 
 struct CountingAlloc;
 
@@ -151,7 +156,7 @@ fn warm_event_core_wakes_are_allocation_free() {
     let spec_model = ModelId::RobertaLarge;
     let profile = spec_model.profile();
     let sat = profile.inference_sat(4);
-    let arrivals = PoissonProcess::new(50.0, 11).generate(SimTime::from_secs(75));
+    let arrivals = Box::new(PoissonProcess::new(50.0, 11));
     sim.deploy_inference(
         FunctionSpec {
             id: FunctionId(2),
@@ -163,6 +168,7 @@ fn warm_event_core_wakes_are_allocation_free() {
         },
         1,
         arrivals,
+        SimTime::from_secs(75),
     )
     .unwrap();
     sim.run_until(SimTime::from_secs(5));
@@ -224,10 +230,11 @@ fn fleet_window_allocs(functions: u32, doomed: bool) -> u64 {
         gpus_per_instance: 1,
     };
     if doomed {
-        sim.deploy_inference(spec(FunctionId(0), cluster.gpu_mem_bytes), 1, Vec::new()).unwrap();
+        sim.deploy_inference(spec(FunctionId(0), cluster.gpu_mem_bytes), 1, idle(), SimTime::MAX)
+            .unwrap();
     }
     for &id in &fleet {
-        sim.deploy_inference(spec(id, profile.infer_mem_bytes), 0, Vec::new()).unwrap();
+        sim.deploy_inference(spec(id, profile.infer_mem_bytes), 0, idle(), SimTime::MAX).unwrap();
     }
     // The 40-sample rate windows are full after 40 ticks.
     sim.run_until(SimTime::from_secs(45));

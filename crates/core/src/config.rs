@@ -157,11 +157,6 @@ pub struct SimSection {
     /// Enables the per-phase wall-clock profiler (`dilu run --profile`).
     /// Observational only: reports are byte-identical either way.
     pub profile: Option<bool>,
-    /// Cap on the per-function pending-arrival window a streaming run
-    /// keeps in memory (default 256 instants; `0` = unbounded, i.e. the
-    /// whole schedule is materialized up front). Reports are
-    /// byte-identical at every setting; this knob trades peak memory only.
-    pub arrival_window: Option<u32>,
     /// Records per-function time series (timelines, kernel series) in the
     /// report (default `true`). Production-scale scenarios turn this off:
     /// the series cost O(functions × seconds) memory.
@@ -246,7 +241,6 @@ impl SimSection {
             time_model,
             network: d.network,
             profile: self.profile.unwrap_or(d.profile),
-            arrival_window: self.arrival_window.unwrap_or(d.arrival_window),
             function_series: self.function_series.unwrap_or(d.function_series),
         })
     }
@@ -687,7 +681,6 @@ fn reject_unknown_keys(root: &Value) -> Result<(), ScenarioError> {
                 "time_model",
                 "threads",
                 "profile",
-                "arrival_window",
                 "function_series",
             ],
         )?;

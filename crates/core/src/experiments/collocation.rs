@@ -8,6 +8,7 @@ use dilu_cluster::{
 };
 use dilu_rckm::RckmConfig;
 use dilu_sim::SimTime;
+use dilu_workload::ReplayProcess;
 use serde::{Deserialize, Serialize};
 
 use crate::factories::{
@@ -123,7 +124,8 @@ pub fn run_case(
     );
     for m in members {
         if m.spec.kind.is_inference() {
-            sim.deploy_inference(m.spec.clone(), m.pins.len() as u32, m.arrivals)
+            let arrivals = Box::new(ReplayProcess::new(m.arrivals));
+            sim.deploy_inference(m.spec.clone(), m.pins.len() as u32, arrivals, SimTime::MAX)
                 .unwrap_or_else(|e| panic!("deploy {}: {e}", m.spec.name));
         } else {
             sim.deploy_training(m.spec.clone())

@@ -3,7 +3,7 @@
 
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
-use dilu_workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
+use dilu_workload::{RateTrace, TraceKind, TraceProcess};
 use serde::{Deserialize, Serialize};
 
 use crate::funcs;
@@ -45,10 +45,11 @@ pub fn run() -> Fig12 {
         SimDuration::from_secs(HORIZON_SECS),
         81,
     );
-    let arrivals = TraceProcess::new(trace, 81).generate(SimTime::from_secs(HORIZON_SECS));
+    let arrivals = Box::new(TraceProcess::new(trace, 81));
     let mut sim = build_sim(SystemKind::Dilu, dilu_cluster::ClusterSpec::single_node(8));
     let spec = funcs::inference_function(1, ModelId::RobertaLarge);
-    sim.deploy_inference(spec, 1, arrivals).expect("deploys on an empty cluster");
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(HORIZON_SECS))
+        .expect("deploys on an empty cluster");
     // A collocated training function keeps the GPUs contended, as in §5.3.
     sim.deploy_training(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
         .expect("training deploys");

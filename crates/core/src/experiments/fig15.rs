@@ -73,13 +73,13 @@ fn deploy_workload(sim: &mut dilu_cluster::ClusterSim, kind: SystemKind) {
         103,
     );
     let horizon = SimTime::from_secs(HORIZON_SECS);
-    let specs = [
-        (1u32, ModelId::RobertaLarge, TraceProcess::new(bursty, 101).generate(horizon)),
-        (2, ModelId::ResNet152, TraceProcess::new(periodic, 103).generate(horizon)),
-        (3, ModelId::BertBase, PoissonProcess::new(50.0, 107).generate(horizon)),
+    let specs: [(u32, ModelId, Box<dyn ArrivalProcess>); 3] = [
+        (1, ModelId::RobertaLarge, Box::new(TraceProcess::new(bursty, 101))),
+        (2, ModelId::ResNet152, Box::new(TraceProcess::new(periodic, 103))),
+        (3, ModelId::BertBase, Box::new(PoissonProcess::new(50.0, 107))),
     ];
     for (id, model, arrivals) in specs {
-        sim.deploy_inference(funcs::inference_function(id, model), 1, arrivals)
+        sim.deploy_inference(funcs::inference_function(id, model), 1, arrivals, horizon)
             .expect("cluster has room at t=0");
     }
     let llm = if kind.distributes_llms() {
@@ -87,8 +87,8 @@ fn deploy_workload(sim: &mut dilu_cluster::ClusterSim, kind: SystemKind) {
     } else {
         funcs::inference_function(4, ModelId::Llama2_7b)
     };
-    let llm_arrivals = PoissonProcess::new(2.0, 109).generate(horizon);
-    sim.deploy_inference(llm, 1, llm_arrivals).expect("cluster has room at t=0");
+    let llm_arrivals = Box::new(PoissonProcess::new(2.0, 109));
+    sim.deploy_inference(llm, 1, llm_arrivals, horizon).expect("cluster has room at t=0");
 }
 
 fn collect(report: &ClusterReport) -> (f64, f64, Vec<(FunctionId, f64)>, u32, f64, f64) {

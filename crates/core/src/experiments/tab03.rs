@@ -4,7 +4,7 @@
 
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
-use dilu_workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
+use dilu_workload::{RateTrace, TraceKind, TraceProcess};
 use serde::{Deserialize, Serialize};
 
 use crate::funcs;
@@ -46,9 +46,10 @@ fn run_one(kind: SystemKind, trace_kind: TraceKind) -> (u64, f64, f64) {
     };
     let trace =
         RateTrace::synthesize(trace_kind, base, scale, SimDuration::from_secs(HORIZON_SECS), 91);
-    let arrivals = TraceProcess::new(trace, 91).generate(SimTime::from_secs(HORIZON_SECS));
+    let arrivals = Box::new(TraceProcess::new(trace, 91));
     let mut sim = build_sim(kind, dilu_cluster::ClusterSpec::single_node(8));
-    sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
+    let spec = funcs::inference_function(1, ModelId::RobertaLarge);
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(HORIZON_SECS))
         .expect("deploys on an empty cluster");
     // Background training occupies GPUs so scaling decisions have
     // collocation consequences.

@@ -467,11 +467,9 @@ impl ScenarioBuilder {
     /// Builds the full scenario: validates the composition and deploys
     /// every function, attaching each arrival source as a *stream* — the
     /// serving plane pulls instants in bounded chunks up to the horizon
-    /// (see [`SimConfig::arrival_window`](dilu_cluster::SimConfig)), so a
+    /// (see [`ARRIVAL_WINDOW`](dilu_cluster::ARRIVAL_WINDOW)), so a
     /// scenario's memory scales with functions × window, not with total
-    /// request count. Results are byte-identical to materializing every
-    /// schedule up front (arrival processes draw the same instants at
-    /// every chunking).
+    /// request count.
     ///
     /// # Errors
     ///
@@ -509,7 +507,7 @@ impl ScenarioBuilder {
                             return Err(ScenarioError::MissingArrivals(entry.spec.id));
                         }
                     };
-                    sim.deploy_inference_streaming(entry.spec, initial, process, stream_end)?;
+                    sim.deploy_inference(entry.spec, initial, process, stream_end)?;
                 }
                 Workload::Training { start } => {
                     if start == SimTime::ZERO {

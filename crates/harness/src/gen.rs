@@ -6,10 +6,10 @@
 //! printed seed a complete reproducer. Sampled dimensions: fleet shape,
 //! placement (with occasional Ω/Γ overrides), elasticity controller
 //! (2D co-scaler and every horizontal-only controller), share policy, `[sim]`
-//! knobs (quantum, tick, resize latency, time model, streaming
-//! arrival-window caps), horizon, and one to three functions mixing
-//! inference (Poisson / Gamma / trace / replay / synth / trace-file
-//! arrivals, varied batch and initial instances) and training workloads.
+//! knobs (quantum, tick, resize latency, time model), horizon, and one to
+//! three functions mixing inference (Poisson / Gamma / trace / replay /
+//! synth / trace-file arrivals, varied batch and initial instances) and
+//! training workloads.
 //!
 //! The generator constructs *valid* configs by construction — composition
 //! constraints (tick ≥ quantum, `gpus_per_instance` ≤ fleet, arrival
@@ -130,11 +130,6 @@ pub fn generate_case(space: &SpaceConfig, case_seed: u64) -> ScenarioConfig {
             time_model: Some(pick(&mut rng, &space.time_models).clone()),
             threads: None,
             profile: None,
-            // Tiny windows force chunk boundaries inside almost every
-            // quantum; 0 is the materialize-everything comparison path.
-            // Reports must be byte-identical at every setting, and the
-            // oracles check exactly that.
-            arrival_window: Some(*pick(&mut rng, &[0, 1, 3, 64])),
             function_series: None,
         })
     } else {

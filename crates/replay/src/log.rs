@@ -47,12 +47,36 @@ const TAG_END: u8 = 0x05;
 /// FNV-1a over a byte string — the log's scenario hash and audit digest
 /// primitive (stable, dependency-free, deterministic).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut hash = Fnv1a::default();
+    hash.update(bytes);
+    hash.0
+}
+
+/// A running FNV-1a hash. As a [`std::fmt::Write`] sink it hashes a
+/// formatted rendering piece by piece, never collecting it into a
+/// `String`: the same digest as [`fnv1a`] over the rendered bytes.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// One recorded event-core pop (see

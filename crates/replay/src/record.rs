@@ -2,13 +2,14 @@
 //! and assemble a replayable [`EventLog`].
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use dilu_cluster::EventRecord;
 use dilu_core::{Registry, ScenarioConfig};
 use dilu_sim::SimTime;
 
-use crate::log::{fnv1a, EventLog, LoggedEvent};
+use crate::log::{EventLog, Fnv1a, LoggedEvent};
 use crate::ReplayError;
 
 /// Captured arrival-refill chunks: `(function id, chunk)` in pull order.
@@ -19,7 +20,9 @@ type ArrivalChunks = Vec<(u32, Vec<SimTime>)>;
 /// `Debug` over plain data), so any accounting divergence between two
 /// runs flips the digest at the first differing controller tick.
 pub fn audit_digest(snapshot: &dilu_cluster::AuditSnapshot) -> u64 {
-    fnv1a(format!("{snapshot:?}").as_bytes())
+    let mut hash = Fnv1a::default();
+    write!(hash, "{snapshot:?}").expect("hashing a rendering cannot fail");
+    hash.0
 }
 
 /// Records one full run of `config`: the arrival schedule (captured as
@@ -47,7 +50,7 @@ pub fn record(config: &ScenarioConfig, registry: &Registry) -> Result<EventLog, 
     let mut sim = scenario.into_sim();
     // One log record per refill chunk, in pull order. Replay concatenates
     // them per function, so chunk boundaries need not be preserved — they
-    // re-derive from the round-tripped `[sim] arrival_window`.
+    // re-derive from the fixed arrival window.
     let arrivals: Rc<RefCell<ArrivalChunks>> = Rc::new(RefCell::new(Vec::new()));
     let arrivals_tap = Rc::clone(&arrivals);
     sim.set_arrival_hook(Box::new(move |id, chunk| {

@@ -44,9 +44,8 @@ pub fn build_replay_scenario(log: &EventLog, registry: &Registry) -> Result<Scen
     // The log holds one record per refill chunk; `arrival_times_for`
     // replaces a function's whole source, so concatenate each function's
     // chunks (already time-ordered) before attaching. The replayed run
-    // re-streams them through the same round-tripped `[sim]
-    // arrival_window`, so refill instants — and thus audit digests — match
-    // the recording exactly.
+    // re-streams them through the same fixed arrival window, so refill
+    // instants — and thus audit digests — match the recording exactly.
     let mut merged: std::collections::BTreeMap<u32, Vec<dilu_sim::SimTime>> =
         std::collections::BTreeMap::new();
     for (func, times) in &log.arrivals {

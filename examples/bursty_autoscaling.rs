@@ -10,7 +10,7 @@ use dilu::cluster::ClusterSpec;
 use dilu::core::{build_sim, funcs, SystemKind};
 use dilu::models::ModelId;
 use dilu::sim::{SimDuration, SimTime};
-use dilu::workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
+use dilu::workload::{RateTrace, TraceKind, TraceProcess};
 
 const HORIZON: u64 = 300;
 
@@ -26,9 +26,10 @@ fn main() {
         "system", "cold starts", "SVR", "p95 (ms)", "GPU-seconds"
     );
     for kind in [SystemKind::Dilu, SystemKind::FastGsPlus, SystemKind::InflessPlusL] {
-        let arrivals = TraceProcess::new(trace.clone(), 91).generate(SimTime::from_secs(HORIZON));
+        let arrivals = Box::new(TraceProcess::new(trace.clone(), 91));
         let mut sim = build_sim(kind, ClusterSpec::single_node(8));
-        sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
+        let function = funcs::inference_function(1, ModelId::RobertaLarge);
+        sim.deploy_inference(function, 1, arrivals, SimTime::from_secs(HORIZON))
             .expect("empty cluster has room");
         sim.deploy_training(funcs::training_function(2, ModelId::BertBase, 2, u64::MAX))
             .expect("empty cluster has room");

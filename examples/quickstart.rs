@@ -9,7 +9,7 @@ use dilu::cluster::ClusterSpec;
 use dilu::core::{build_sim, funcs, SystemKind};
 use dilu::models::ModelId;
 use dilu::sim::SimTime;
-use dilu::workload::{ArrivalProcess, PoissonProcess};
+use dilu::workload::PoissonProcess;
 
 fn main() {
     // A single node with two A100-40GB-class GPUs running the full Dilu
@@ -27,8 +27,9 @@ fn main() {
     }
 
     // 60 seconds of Poisson traffic at 25 requests per second.
-    let arrivals = PoissonProcess::new(25.0, 42).generate(SimTime::from_secs(60));
-    sim.deploy_inference(function, 1, arrivals).expect("empty cluster has room");
+    let arrivals = Box::new(PoissonProcess::new(25.0, 42));
+    sim.deploy_inference(function, 1, arrivals, SimTime::from_secs(60))
+        .expect("empty cluster has room");
 
     // A collocated BERT fine-tuning job soaks up the leftover SMs.
     let training = funcs::training_function(2, ModelId::BertBase, 1, u64::MAX);

@@ -6,17 +6,17 @@ use dilu::core::macrosim::{run_macro, MacroConfig, MacroSystem};
 use dilu::core::{build_sim, funcs, ComponentSection, Registry, ScenarioConfig, SystemKind};
 use dilu::models::ModelId;
 use dilu::sim::{SimDuration, SimTime};
-use dilu::workload::{ArrivalProcess, RateTrace, TraceKind, TraceProcess};
+use dilu::workload::{RateTrace, TraceKind, TraceProcess};
 
 const HORIZON: u64 = 240;
 
 fn bursty_run(kind: SystemKind) -> (u64, f64) {
     let trace =
         RateTrace::synthesize(TraceKind::Bursty, 20.0, 5.0, SimDuration::from_secs(HORIZON), 13);
-    let arrivals = TraceProcess::new(trace, 13).generate(SimTime::from_secs(HORIZON));
+    let arrivals = Box::new(TraceProcess::new(trace, 13));
     let mut sim = build_sim(kind, ClusterSpec::single_node(6));
-    sim.deploy_inference(funcs::inference_function(1, ModelId::RobertaLarge), 1, arrivals)
-        .expect("room at t=0");
+    let function = funcs::inference_function(1, ModelId::RobertaLarge);
+    sim.deploy_inference(function, 1, arrivals, SimTime::from_secs(HORIZON)).expect("room at t=0");
     sim.run_until(SimTime::from_secs(HORIZON + 10));
     let report = sim.into_report();
     let f = report.inference.values().next().unwrap();

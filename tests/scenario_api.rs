@@ -11,7 +11,7 @@ use dilu::core::{
 };
 use dilu::models::ModelId;
 use dilu::sim::SimTime;
-use dilu::workload::{ArrivalProcess, PoissonProcess};
+use dilu::workload::PoissonProcess;
 
 // ---------------------------------------------------------------------------
 // Builder misuse → typed errors, not panics
@@ -75,7 +75,6 @@ fn workload_misuse_is_recorded_and_reported() {
         SystemKind::Dilu
             .builder()
             .cluster(ClusterSpec::single_node(2))
-            .sim_config(SimConfig { arrival_window: 0, ..SimConfig::default() })
             .function(funcs::inference_function(1, ModelId::BertBase))
             .arrival_times(Vec::new())
             .function(funcs::inference_function(2, ModelId::Vgg19))
@@ -86,8 +85,8 @@ fn workload_misuse_is_recorded_and_reported() {
         .build()
         .expect("arrivals for an earlier function build")
         .into_sim();
-    // A zero-length run pulls every arrival window (the whole schedule at
-    // `arrival_window = 0`) and simulates nothing.
+    // A zero-length run pulls every arrival window (here the whole
+    // two-instant schedule) and simulates nothing.
     sim.run_until(SimTime::ZERO);
     assert_eq!(
         sim.arrival_schedule(),
@@ -137,6 +136,19 @@ fn invalid_specs_surface_cluster_deploy_errors() {
             ..
         })) => {}
         other => panic!("expected ClusterTooSmall, got {other:?}"),
+    }
+
+    // Engine slot ids pack at most 16 pipeline stages per instance, so a
+    // 17-stage LLM is invalid even on a cluster with 24 GPUs to host it.
+    let err = SystemKind::Dilu
+        .builder()
+        .cluster(ClusterSpec { nodes: 3, ..ClusterSpec::single_node(8) })
+        .function(funcs::llm_inference_function(1, ModelId::Llama2_7b, 17))
+        .arrival_times(vec![SimTime::ZERO])
+        .build();
+    match err {
+        Err(ScenarioError::Deploy(DeployError::InvalidSpec { .. })) => {}
+        other => panic!("expected InvalidSpec for 17 stages, got {other:?}"),
     }
 }
 
@@ -332,11 +344,12 @@ fn legacy_build_sim(kind: SystemKind, spec: ClusterSpec) -> ClusterSim {
 /// Runs the same mixed workload on a simulator and digests the outcome
 /// into an exactly comparable form.
 fn digest(mut sim: ClusterSim) -> Vec<(String, u64, u64, u64, u64)> {
-    let arrivals_a = PoissonProcess::new(30.0, 7).generate(SimTime::from_secs(20));
-    let arrivals_b = PoissonProcess::new(12.0, 13).generate(SimTime::from_secs(20));
-    sim.deploy_inference(funcs::inference_function(1, ModelId::BertBase), 1, arrivals_a)
+    let end = SimTime::from_secs(20);
+    let arrivals_a = Box::new(PoissonProcess::new(30.0, 7));
+    let arrivals_b = Box::new(PoissonProcess::new(12.0, 13));
+    sim.deploy_inference(funcs::inference_function(1, ModelId::BertBase), 1, arrivals_a, end)
         .expect("deploy bert");
-    sim.deploy_inference(funcs::inference_function(2, ModelId::ResNet152), 1, arrivals_b)
+    sim.deploy_inference(funcs::inference_function(2, ModelId::ResNet152), 1, arrivals_b, end)
         .expect("deploy resnet");
     sim.deploy_training(funcs::training_function(3, ModelId::BertBase, 2, 60))
         .expect("deploy training");
