@@ -183,11 +183,13 @@ fn drive<Q: Queue>(queue: &mut Q, seed: u64) -> (u64, u64) {
 fn main() {
     const SEED: u64 = 0x0000_0d11_u64;
 
+    #[allow(clippy::disallowed_methods, reason = "this bench measures wall time")]
     let started = Instant::now();
     let mut queue: EventQueue<u64> = EventQueue::new();
     let (queue_checksum, queue_pops) = drive(&mut queue, SEED);
     let queue_secs = started.elapsed().as_secs_f64();
 
+    #[allow(clippy::disallowed_methods, reason = "this bench measures wall time")]
     let started = Instant::now();
     let mut heap = LazyHeap::default();
     let (heap_checksum, heap_pops) = drive(&mut heap, SEED);

@@ -36,6 +36,7 @@ fn run_inner(
         .into_builder(&registry)
         .and_then(|b| b.build())
         .expect("macro-scale scenario composes");
+    #[allow(clippy::disallowed_methods, reason = "this bench measures wall time")]
     let started = Instant::now();
     let (report, prof) = scenario.run_profiled().expect("macro-scale scenario runs");
     (report, started.elapsed().as_secs_f64(), prof)

@@ -51,6 +51,7 @@ fn main() {
         .into_builder(&registry)
         .and_then(|b| b.build())
         .expect("production-day scenario composes");
+    #[allow(clippy::disallowed_methods, reason = "this bench measures wall time")]
     let started = Instant::now();
     let report = scenario.run().expect("production-day scenario runs");
     let wall_secs = started.elapsed().as_secs_f64();

@@ -56,6 +56,7 @@ fn churn(k: usize, rounds: u64) -> (f64, u64) {
         plane.start_fetch(now, i % NODES, fetch_bytes(&mut rng), i as u64);
     }
 
+    #[allow(clippy::disallowed_methods, reason = "this bench measures wall time")]
     let started = Instant::now();
     let mut tag = k as u64;
     for _ in 0..rounds {

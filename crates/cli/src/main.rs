@@ -4,7 +4,6 @@
 //! dilu run <scenario.toml|.json> [--json <out.json>]   simulate a config file
 //! dilu experiment <name>... | all                      regenerate paper figures
 //! dilu fuzz [--cases N] [--seed S] [--oracle name]     fuzz the composition space
-//! dilu lint [--json <out.json>] [--rule <name>]        audit the workspace for nondeterminism
 //! dilu list                                            components, presets, models
 //! ```
 
@@ -26,7 +25,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(&args[1..]),
         Some("experiment") => cmd_experiment(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
-        Some("lint") => cmd_lint(&args[1..]),
         Some("list") => cmd_list(),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", usage());
@@ -88,16 +86,8 @@ fn usage() -> String {
      \x20     copy-pasteable repro line — record-replay failures also dump\n\
      \x20     the event log as .dlog for `dilu replay`; --minimize shrinks\n\
      \x20     them first. Exits non-zero on any violation.\n\
-     \x20 dilu lint [--json <out.json>] [--rule <name>] [--root <dir>]\n\
-     \x20     Audit the workspace sources for nondeterminism (unordered map\n\
-     \x20     iteration, ambient time/RNG, arrival-order parallel merges,\n\
-     \x20     order-sensitive float folds) per the root lint.toml. Findings\n\
-     \x20     go to stderr and the exit code is non-zero; --json also dumps\n\
-     \x20     them as JSON, --rule restricts to one rule, --root overrides\n\
-     \x20     the workspace root (default: nearest ancestor with lint.toml).\n\
      \x20 dilu list\n\
-     \x20     Show registered experiments, components, presets, models, and\n\
-     \x20     lint rules.\n\
+     \x20     Show registered experiments, components, presets, and models.\n\
      \x20 dilu help\n\
      \x20     This message.\n"
         .to_string()
@@ -178,6 +168,7 @@ fn run_scenario(path: &Path, json_out: Option<&Path>, options: &RunOptions) -> R
     let horizon = scenario.horizon();
     println!("horizon: {horizon} (+drain)\n");
 
+    #[allow(clippy::disallowed_methods, reason = "the `[simulated in N s]` line is wall time")]
     let started = std::time::Instant::now();
     let (report, phase_profile) = if options.progress {
         run_with_progress(scenario, horizon)
@@ -297,6 +288,7 @@ fn run_with_progress(
     let end = SimTime::ZERO + horizon + scenario.drain();
     let total_us = end.as_micros();
     let mut sim = scenario.into_sim();
+    #[allow(clippy::disallowed_methods, reason = "the progress line's ETA is wall time")]
     let started = std::time::Instant::now();
     const SLICES: u64 = 200;
     for slice in 1..=SLICES {
@@ -556,6 +548,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             options.oracles.join(", ")
         }
     );
+    #[allow(clippy::disallowed_methods, reason = "the fuzz summary reports wall time")]
     let started = std::time::Instant::now();
     let report = harness.run_with_progress(&options, |line| println!("{line}"))?;
     println!(
@@ -595,86 +588,6 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// dilu lint
-// ---------------------------------------------------------------------------
-
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let mut json_out: Option<PathBuf> = None;
-    let mut rule: Option<String> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let path = it.next().ok_or("--json needs a path")?;
-                json_out = Some(PathBuf::from(path));
-            }
-            "--rule" => {
-                let name = it.next().ok_or("--rule needs a rule name")?;
-                rule = Some(name.clone());
-            }
-            "--root" => {
-                let dir = it.next().ok_or("--root needs a directory")?;
-                root = Some(PathBuf::from(dir));
-            }
-            other => return Err(format!("unknown flag `{other}` for `dilu lint`\n\n{}", usage())),
-        }
-    }
-    if let Some(name) = &rule {
-        if dilu_lint::find_rule(name).is_none() {
-            return Err(format!(
-                "unknown lint rule `{name}` (known: {})",
-                dilu_lint::rule_names().join(", ")
-            ));
-        }
-    }
-    let root = match root {
-        Some(dir) => dir,
-        None => find_lint_root()?,
-    };
-    let config = dilu_lint::Config::load(&root.join("lint.toml"))?;
-    let report = dilu_lint::lint_workspace(&root, &config, rule.as_deref())?;
-    if let Some(out) = json_out.as_deref() {
-        dilu_core::table::write_json_at(out, &report.to_json());
-        println!("[json: {}]", out.display());
-    }
-    println!(
-        "== dilu lint: {} file(s) audited, {} reasoned suppression(s) ==",
-        report.files_checked,
-        report.suppressed.len()
-    );
-    if report.clean() {
-        println!("clean: no determinism findings");
-        return Ok(());
-    }
-    // Findings go to stderr so CI logs and scripts can separate them from
-    // the run banner.
-    eprint!("{}", report.render_human());
-    Err(format!("{} determinism finding(s)", report.findings.len()))
-}
-
-/// The workspace root: the nearest ancestor of the current directory
-/// holding a `lint.toml`.
-fn find_lint_root() -> Result<PathBuf, String> {
-    let start = std::env::current_dir().map_err(|e| format!("cannot read current dir: {e}"))?;
-    let mut dir = start.as_path();
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return Ok(dir.to_path_buf());
-        }
-        match dir.parent() {
-            Some(parent) => dir = parent,
-            None => {
-                return Err(format!(
-                    "no lint.toml found in {} or any ancestor (pass --root <dir>)",
-                    start.display()
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // dilu experiment
 // ---------------------------------------------------------------------------
 
@@ -701,6 +614,7 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     let ctx = ExperimentCtx::with_default_json_dir();
     for experiment in todo {
         println!("== {}: {} ==", experiment.name(), experiment.title());
+        #[allow(clippy::disallowed_methods, reason = "the completion line reports wall time")]
         let started = std::time::Instant::now();
         let output = experiment.run(&ctx);
         println!("{}", output.rendered);
@@ -731,7 +645,6 @@ fn cmd_list() -> Result<(), String> {
     println!("share policies:    {}", registry.share_policy_names().join(", "));
     println!("arrival processes: {}", dilu_workload::PROCESS_NAMES.join(", "));
     println!("fuzz oracles:      {}", dilu_harness::Harness::new().oracle_names().join(", "));
-    println!("lint rules:        {}", dilu_lint::rule_names().join(", "));
     println!(
         "models:            {}",
         ModelId::ALL.iter().map(|m| m.name()).collect::<Vec<_>>().join(", ")

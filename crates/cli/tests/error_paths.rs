@@ -149,3 +149,36 @@ fn fuzz_rejects_malformed_flags() {
     let stderr = expect_failure(&["fuzz", "--frobnicate"]);
     assert!(stderr.contains("frobnicate"), "{stderr}");
 }
+
+/// Writes a one-function scenario with `extra` appended: more keys for the
+/// function, or a new section.
+fn one_function_scenario(name: &str, extra: &str) -> String {
+    let body = format!(
+        "[system]\npreset = \"dilu\"\n\n[[functions]]\nmodel = \"bert-base\"\n\
+         arrivals = {{ process = \"poisson\", rate = 5.0 }}\n{extra}\n"
+    );
+    write_scenario(name, &body).to_str().unwrap().to_owned()
+}
+
+#[test]
+fn sub_microsecond_quantum_is_a_config_error() {
+    // 0.0004 ms rounds to a 0 µs quantum, which the GPU engine cannot step.
+    let path = one_function_scenario("tiny-quantum.toml", "\n[sim]\nquantum_ms = 0.0004");
+    let stderr = expect_failure(&["run", &path]);
+    assert!(stderr.contains("quantum_ms") && stderr.contains("0.0004"), "{stderr}");
+}
+
+#[test]
+fn invalid_quota_overrides_are_config_errors() {
+    for (keys, key) in [
+        ("request_pct = -5.0", "`request_pct`"),
+        ("limit_pct = -1.0", "`limit_pct`"),
+        ("request_pct = 1e309", "`request_pct`"),
+        ("limit_pct = 100.5", "`limit_pct`"),
+        ("request_pct = 50.0\nlimit_pct = 10.0", "`limit_pct` (10) must not be below"),
+    ] {
+        let path = one_function_scenario("bad-quota.toml", keys);
+        let stderr = expect_failure(&["run", &path]);
+        assert!(stderr.contains(key) && stderr.contains("function 1"), "{keys}: {stderr}");
+    }
+}

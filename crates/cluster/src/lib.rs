@@ -29,6 +29,9 @@
 //!   `dilu-rckm`, MPS/TGS/FaST-GS in `dilu-baselines`).
 
 #![forbid(unsafe_code)]
+// The sim core takes no exception to the determinism ban in clippy.toml:
+// under clippy, any `allow` of these two lints here is error E0453.
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 mod audit;

@@ -168,9 +168,9 @@ impl SimSection {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Config`] for non-finite or negative values, a zero
-    /// quantum, a `batch_timeout_frac` outside `[0, 1]`, a tick shorter
-    /// than the quantum, or `threads` other than 1.
+    /// [`ScenarioError::Config`] for non-finite or negative values, a
+    /// quantum or tick that rounds to 0 µs, a `batch_timeout_frac` outside
+    /// `[0, 1]`, a tick shorter than the quantum, or `threads` other than 1.
     pub fn to_config(&self) -> Result<SimConfig, ScenarioError> {
         fn duration(
             key: &str,
@@ -179,13 +179,19 @@ impl SimSection {
             allow_zero: bool,
         ) -> Result<SimDuration, ScenarioError> {
             let Some(ms) = ms else { return Ok(default) };
-            if !ms.is_finite() || ms < 0.0 || (ms == 0.0 && !allow_zero) {
-                return Err(ScenarioError::Config(format!(
-                    "[sim] `{key}` must be a {} number of milliseconds, got {ms}",
-                    if allow_zero { "non-negative" } else { "positive" }
-                )));
+            // Simulated time counts whole microseconds, so a positive value
+            // below 0.0005 ms is a zero duration too.
+            match (ms.is_finite() && ms >= 0.0).then(|| SimDuration::from_millis_f64(ms)) {
+                Some(d) if allow_zero || d > SimDuration::ZERO => Ok(d),
+                _ => Err(ScenarioError::Config(format!(
+                    "[sim] `{key}` must be {}, got {ms}",
+                    if allow_zero {
+                        "a non-negative number of milliseconds"
+                    } else {
+                        "at least 0.0005 ms (1 µs once rounded)"
+                    }
+                ))),
             }
-            Ok(SimDuration::from_millis_f64(ms))
         }
         let d = SimConfig::default();
         let quantum = duration("quantum_ms", self.quantum_ms, d.quantum, false)?;
@@ -536,11 +542,29 @@ impl ScenarioConfig {
                             };
                         }
                     }
-                    if let Some(pct) = f.request_pct {
-                        spec.quotas.request = dilu_gpu::SmRate::from_percent(pct);
+                    for (key, pct, quota) in [
+                        ("request_pct", f.request_pct, &mut spec.quotas.request),
+                        ("limit_pct", f.limit_pct, &mut spec.quotas.limit),
+                    ] {
+                        let Some(pct) = pct else { continue };
+                        if !(0.0..=100.0).contains(&pct) {
+                            return Err(ScenarioError::Config(format!(
+                                "function {id} ({}): `{key}` must be in [0, 100], got {pct}",
+                                f.model
+                            )));
+                        }
+                        *quota = dilu_gpu::SmRate::from_percent(pct);
                     }
-                    if let Some(pct) = f.limit_pct {
-                        spec.quotas.limit = dilu_gpu::SmRate::from_percent(pct);
+                    // `Quotas::new` clamps a profiled limit up to the
+                    // request; an override may not undercut it either.
+                    if spec.quotas.limit < spec.quotas.request {
+                        return Err(ScenarioError::Config(format!(
+                            "function {id} ({}): `limit_pct` ({}) must not be below \
+                             `request_pct` ({})",
+                            f.model,
+                            spec.quotas.limit.as_percent(),
+                            spec.quotas.request.as_percent()
+                        )));
                     }
                     if let Some(gb) = f.mem_gb {
                         spec.quotas.mem_bytes = (gb * dilu_gpu::GB as f64) as u64;
@@ -936,7 +960,8 @@ arrivals = { process = "poisson", rate = 10.0 }
         let cases = [
             ("quantum_ms = 0.0", "quantum_ms"),
             ("quantum_ms = -1.0", "quantum_ms"),
-            ("tick_ms = 1.0", "tick_ms"), // shorter than the default 5 ms quantum
+            ("quantum_ms = 0.0004", "quantum_ms"), // rounds to 0 µs
+            ("tick_ms = 1.0", "tick_ms"),          // shorter than the default 5 ms quantum
             ("batch_timeout_frac = 1.5", "batch_timeout_frac"),
             ("quantum_typo_ms = 5.0", "quantum_typo_ms"),
         ];
@@ -949,6 +974,42 @@ arrivals = { process = "poisson", rate = 10.0 }
                 .and_then(|c| c.into_builder(&registry).map(|_| ()))
                 .map_err(|e| e.to_string());
             assert!(err.as_ref().is_err_and(|e| e.contains(needle)), "{line}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn quota_overrides_must_be_percentages_with_limit_at_least_request() {
+        let registry = Registry::with_defaults();
+        let build = |keys: &str| {
+            let text = format!(
+                "[system]\npreset = \"dilu\"\n\n[[functions]]\nmodel = \"bert-base\"\n\
+                 arrivals = {{ process = \"poisson\", rate = 5.0 }}\n{keys}\n"
+            );
+            ScenarioConfig::from_toml_str(&text)
+                .and_then(|c| c.into_builder(&registry).map(|_| ()))
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(build("request_pct = 20.0\nlimit_pct = 40.0"), Ok(()));
+        assert_eq!(build("request_pct = 0.0\nlimit_pct = 100.0"), Ok(()));
+        let cases = [
+            (
+                "request_pct = -5.0",
+                "function 1 (bert-base): `request_pct` must be in [0, 100], got -5",
+            ),
+            ("limit_pct = -1.0", "`limit_pct` must be in [0, 100], got -1"),
+            ("request_pct = 1e309", "`request_pct` must be in [0, 100], got inf"),
+            ("limit_pct = 100.5", "`limit_pct` must be in [0, 100], got 100.5"),
+            (
+                "request_pct = 50.0\nlimit_pct = 10.0",
+                "function 1 (bert-base): `limit_pct` (10) must not be below `request_pct` (50)",
+            ),
+            // The profiled limit is the effective one when only the
+            // request is overridden.
+            ("request_pct = 100.0", "must not be below `request_pct` (100)"),
+        ];
+        for (keys, needle) in cases {
+            let err = build(keys);
+            assert!(err.as_ref().is_err_and(|e| e.contains(needle)), "{keys}: {err:?}");
         }
     }
 

@@ -10,7 +10,7 @@ use crate::{ModelProfile, ParallelKind, TrainingProfile};
 
 /// The models evaluated in the paper (§5.1): parameters range 0.2–12.6 GB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant is the model its name spells")]
 pub enum ModelId {
     ResNet152,
     Vgg19,

@@ -22,6 +22,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// The sim core takes no exception to the determinism ban in clippy.toml:
+// under clippy, any `allow` of these two lints here is error E0453.
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 #![warn(missing_docs)]
 
 mod events;
