@@ -1,6 +1,6 @@
-//! CLI error paths: every misconfiguration must exit non-zero with an
-//! actionable message on stderr — naming the offending value and, where a
-//! registry is involved, the accepted alternatives.
+//! CLI error paths: every misconfiguration must exit 1 (an error, not a
+//! panic) with an actionable message on stderr — naming the offending value
+//! and, where a registry is involved, the accepted alternatives.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -21,15 +21,16 @@ fn run_dilu(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dilu")).args(args).output().expect("dilu binary runs")
 }
 
-/// Runs `dilu` expecting failure; returns stderr.
+/// Runs `dilu` expecting an error exit (1); returns stderr.
 fn expect_failure(args: &[&str]) -> String {
     let out = run_dilu(args);
-    assert!(
-        !out.status.success(),
-        "dilu {args:?} must exit non-zero\nstdout:\n{}",
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "dilu {args:?} must exit 1\nstdout:\n{}\nstderr:\n{stderr}",
         String::from_utf8_lossy(&out.stdout)
     );
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("error:"), "stderr must carry the error banner: {stderr}");
     stderr
 }
@@ -161,11 +162,28 @@ fn one_function_scenario(name: &str, extra: &str) -> String {
 }
 
 #[test]
-fn sub_microsecond_quantum_is_a_config_error() {
-    // 0.0004 ms rounds to a 0 µs quantum, which the GPU engine cannot step.
-    let path = one_function_scenario("tiny-quantum.toml", "\n[sim]\nquantum_ms = 0.0004");
+fn quantum_is_not_a_sim_key() {
+    // The GPU quantum is a constant, so `[sim]` has no key for it.
+    let path = one_function_scenario("quantum-key.toml", "\n[sim]\nquantum_ms = 5.0");
     let stderr = expect_failure(&["run", &path]);
-    assert!(stderr.contains("quantum_ms") && stderr.contains("0.0004"), "{stderr}");
+    assert!(stderr.contains("unknown key `quantum_ms`"), "{stderr}");
+}
+
+#[test]
+fn overflowing_cluster_and_run_integers_are_config_errors() {
+    for (section, key) in [
+        // 2^34 GiB is 2^64 bytes.
+        ("[cluster]\ngpu_mem_gb = 17179869184", "`gpu_mem_gb`"),
+        // 2^16 × 2^16 GPUs is 2^32.
+        ("[cluster]\nnodes = 65536\ngpus_per_node = 65536", "`gpus_per_node`"),
+        // The horizon fits in microseconds; horizon + the 5 s drain does not.
+        ("[run]\nhorizon_secs = 18446744073709", "`horizon_secs`"),
+        ("[run]\nhorizon_secs = 18446744073709551615", "`horizon_secs`"),
+    ] {
+        let path = one_function_scenario("overflow.toml", &format!("\n{section}"));
+        let stderr = expect_failure(&["run", &path]);
+        assert!(stderr.contains(key) && stderr.contains("overflows"), "{section}: {stderr}");
+    }
 }
 
 #[test]

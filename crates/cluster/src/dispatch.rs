@@ -13,10 +13,11 @@
 //! record latencies, and drive the training state machine in
 //! [`lifecycle`](crate::lifecycle).
 
+use dilu_gpu::QUANTUM;
 use dilu_sim::SimTime;
 
 use crate::instance::{InflightBatch, Instance, Request};
-use crate::sim::ClusterSim;
+use crate::sim::{ClusterSim, BATCH_TIMEOUT_CAP, BATCH_TIMEOUT_FRAC, STAGE_TRANSFER};
 use crate::{FunctionId, FunctionKind, InstanceState, InstanceUid};
 
 /// What a completed engine work item meant to the control plane.
@@ -70,7 +71,7 @@ impl TagSlab {
 impl ClusterSim {
     pub(crate) fn ingest_arrivals(&mut self) {
         let now = self.now;
-        let cutoff = now + self.config.quantum;
+        let cutoff = now + QUANTUM;
         // Functions with an arrival due this quantum, from the lazy
         // min-index — never a scan of all functions. A popped entry whose
         // function's live head moved past the cutoff is stale: re-arm it
@@ -203,8 +204,7 @@ impl ClusterSim {
             if inst.pending.is_empty() {
                 continue;
             }
-            let timeout =
-                (slo.mul_f64(self.config.batch_timeout_frac)).min(self.config.batch_timeout_cap);
+            let timeout = slo.mul_f64(BATCH_TIMEOUT_FRAC).min(BATCH_TIMEOUT_CAP);
             let oldest = inst.pending.front().expect("non-empty").arrived;
             let full = inst.pending.len() >= batch as usize;
             let expired = now.saturating_since(oldest) >= timeout;
@@ -258,8 +258,7 @@ impl ClusterSim {
                 self.cancel_deadline(uid);
                 continue;
             }
-            let timeout =
-                (slo.mul_f64(self.config.batch_timeout_frac)).min(self.config.batch_timeout_cap);
+            let timeout = slo.mul_f64(BATCH_TIMEOUT_FRAC).min(BATCH_TIMEOUT_CAP);
             let at_stage0 = inst.inflight.iter().filter(|b| b.stage == 0).count();
             let oldest = inst.pending.front().expect("non-empty").arrived;
             let full = inst.pending.len() >= batch as usize;
@@ -331,11 +330,8 @@ impl ClusterSim {
         let t_total = profile.inference_t_min(batch);
         // With a network plane the inter-stage handoff is priced by an
         // activation-transfer flow instead of the fixed constant.
-        let transfer = if self.net.is_some() {
-            dilu_sim::SimDuration::ZERO
-        } else {
-            self.config.stage_transfer.min(t_total)
-        };
+        let transfer =
+            if self.net.is_some() { dilu_sim::SimDuration::ZERO } else { STAGE_TRANSFER };
         let t_stage = t_total / u64::from(stages) + transfer;
         // Each stage hosts 1/stages of the layers, so its kernel stream
         // saturates at roughly that share of the card.
@@ -387,7 +383,7 @@ impl ClusterSim {
         item: dilu_gpu::WorkItem,
     ) {
         if self.event_active && self.nodes.mark_busy(gpu) {
-            self.nodes.slot_mut(gpu).catch_up(self.now, self.config.quantum, self.gpu_phase_done);
+            self.nodes.slot_mut(gpu).catch_up(self.now, self.gpu_phase_done);
         }
         let _ = self.nodes.slot_mut(gpu).engine.push_work(slot, item);
     }
@@ -492,6 +488,22 @@ impl ClusterSim {
             if self.instances.get(&uid).is_some_and(|i| !i.pending.is_empty()) {
                 self.dirty.push(uid);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::STAGE_TRANSFER;
+    use dilu_models::ModelId;
+
+    /// `push_stage_item` adds the transfer constant unclamped: it must stay
+    /// below every batch's own compute time (batch 1 is the fastest).
+    #[test]
+    fn stage_transfer_is_below_every_batch_time() {
+        for model in ModelId::ALL {
+            let t_min = model.profile().inference_t_min(1);
+            assert!(STAGE_TRANSFER < t_min, "{model:?} batch 1 takes {t_min}");
         }
     }
 }

@@ -1,20 +1,20 @@
 //! Elasticity execution and observability (control plane).
 //!
-//! The controller tick is the cluster's decision heartbeat: every
-//! [`SimConfig::tick`](crate::SimConfig) the control plane samples metrics,
+//! The controller tick is the cluster's decision heartbeat: every second
+//! the control plane samples metrics,
 //! snapshots the cluster for the audit hook, builds per-function
 //! [`FunctionScaleView`]s (current and deploy-time quotas; how far they
 //! may grow is the controller's own reading of the [`ClusterView`]), and
 //! executes the [`ElasticityController`](crate::ElasticityController)'s
 //! actions — horizontal scale-out/scale-in through the
 //! [`lifecycle`](crate::lifecycle) module, and vertical
-//! [`ScaleAction::ResizeQuota`] decisions queued here behind the
-//! configured apply latency, then fanned out to every live slice on the
+//! [`ScaleAction::ResizeQuota`] decisions queued here behind the 1 ms
+//! apply latency, then fanned out to every live slice on the
 //! node plane. Identical on both time models (the tick runs inside the
 //! shared controller phase), which is what keeps audit content and
 //! reports byte-identical across dense and event-driven execution.
 
-use dilu_gpu::{SmRate, TaskClass};
+use dilu_gpu::{SmRate, TaskClass, QUANTUM};
 use dilu_metrics::{FragmentationSnapshot, GpuUsageSample};
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
@@ -22,7 +22,7 @@ use dilu_sim::{SimDuration, SimTime};
 use crate::audit::{AuditHook, AuditSnapshot, FunctionAudit, GpuAudit};
 use crate::lifecycle::{task_class, LaunchError};
 use crate::report::TimelinePoint;
-use crate::sim::{ClusterSim, SimEvent};
+use crate::sim::{ClusterSim, SimEvent, RESIZE_LATENCY, TICK};
 use crate::traits::{
     ClusterView, FunctionScaleView, GpuView, QuotaView, ResidentInfo, ScaleAction,
 };
@@ -142,13 +142,10 @@ impl ClusterSim {
         AuditSnapshot { now: self.now, gpus, functions, network }
     }
 
-    /// Queues a vertical resize to apply after the configured latency.
+    /// Queues a vertical resize to apply after [`RESIZE_LATENCY`].
     ///
     /// A re-request while one is still in flight retargets the pending
-    /// resize but keeps its original due time — controllers re-emit their
-    /// decision every tick until the spec reflects it, and resetting the
-    /// clock each time would starve the apply whenever
-    /// `resize_latency >= tick`.
+    /// resize but keeps its original due time.
     pub(crate) fn request_resize(&mut self, func: FunctionId, request: SmRate, limit: SmRate) {
         let Some(f) = self.funcs.get(&func) else {
             return;
@@ -163,15 +160,14 @@ impl ClusterSim {
         if f.spec.quotas.request == request && f.spec.quotas.limit == limit {
             return;
         }
-        let due = self.now + self.config.resize_latency;
+        let due = self.now + RESIZE_LATENCY;
         self.pending_resizes.push(PendingResize { due, func, request, limit });
         if self.event_active {
-            // Never earlier than the next quantum: this wake's apply phase
-            // has already run, and the dense stepper would first see the
-            // pending resize at the next quantum start (a zero apply
-            // latency must not re-wake — and re-step — this instant).
-            let at = self.grid_ceil(due).max(self.now + self.config.quantum);
-            self.events.push(at, SimEvent::ResizeApply);
+            // The latency is positive and `now` is a grid instant, so this
+            // is the next quantum at the earliest: this wake's apply phase
+            // has already run, and the dense stepper first sees the pending
+            // resize at a later quantum start.
+            self.events.push(self.grid_ceil(due), SimEvent::ResizeApply);
         }
     }
 
@@ -458,7 +454,7 @@ impl ClusterSim {
         // contribute exactly 0 to `used_accum`, so dividing by the window
         // size gives the same average whether or not they were stepped —
         // the dense stepper and the event core agree bit-for-bit.
-        let window_quanta = self.sample_clock.window_quanta(self.now, self.config.quantum);
+        let window_quanta = self.sample_clock.window_quanta(self.now, QUANTUM);
         let gpu_count = self.spec.total_gpus() as usize;
         let mut samples = Vec::with_capacity(gpu_count);
         let mut occupied = 0u32;
@@ -485,9 +481,10 @@ impl ClusterSim {
         self.fragmentation.push(FragmentationSnapshot::from_samples(&samples));
         self.occupied_series.push((sec, occupied));
         self.peak_gpus = self.peak_gpus.max(occupied);
-        self.gpu_seconds += f64::from(occupied) * self.config.tick.as_secs_f64();
+        // Samples are one second apart, so each stands for one second.
+        self.gpu_seconds += f64::from(occupied) * TICK.as_secs_f64();
         let instance_gpus: usize = self.instances.values().map(|i| i.gpus.len()).sum();
-        self.instance_gpu_seconds += instance_gpus as f64 * self.config.tick.as_secs_f64();
+        self.instance_gpu_seconds += instance_gpus as f64 * TICK.as_secs_f64();
         self.total_kernel_series.push((sec, self.total_blocks_sec));
         self.total_blocks_sec = 0;
         // Per-function series cost O(functions × seconds) report memory;

@@ -12,11 +12,11 @@
 
 use std::collections::VecDeque;
 
-use dilu_gpu::{SlotConfig, TaskClass};
+use dilu_gpu::{SlotConfig, TaskClass, QUANTUM};
 use dilu_sim::SimTime;
 
 use crate::instance::{Instance, MAX_STAGES};
-use crate::sim::{new_func_state, ArrivalStream, SimEvent};
+use crate::sim::{new_func_state, ArrivalStream, SimEvent, TICK};
 use crate::traits::ClusterView;
 use crate::{
     cold_start_duration, ClusterSim, FunctionId, FunctionKind, FunctionSpec, InstanceState,
@@ -280,14 +280,14 @@ impl ClusterSim {
             due
         };
         for spec in due {
-            let at = now + self.config.tick;
+            let at = now + TICK;
             if self.deploy_training(spec.clone()).is_err() {
                 // Cluster full or duplicate: retry next second unless the
                 // function already exists.
                 if !self.funcs.contains_key(&spec.id) {
                     self.pending_training.push((at, spec));
                     if self.event_active {
-                        let due = self.grid_ceil(at).max(self.now + self.config.quantum);
+                        let due = self.grid_ceil(at).max(self.now + QUANTUM);
                         self.events.push(due, SimEvent::TrainingSubmit);
                     }
                 }
@@ -541,11 +541,7 @@ impl ClusterSim {
                 // roster: replayed cycles must show the pre-admission
                 // residents only, and the fresh slot's policy history must
                 // start here — exactly as under dense stepping.
-                self.nodes.slot_mut(*gpu).catch_up(
-                    self.now,
-                    self.config.quantum,
-                    self.gpu_phase_done,
-                );
+                self.nodes.slot_mut(*gpu).catch_up(self.now, self.gpu_phase_done);
             }
             if self.nodes.admit(*gpu, slot, cfg).is_err() {
                 // Roll back earlier stages.
@@ -576,7 +572,7 @@ impl ClusterSim {
                 if self.event_active {
                     // This wake's promotion phase has already run; the
                     // dense stepper would promote at the next quantum.
-                    let due = self.grid_ceil(ready_at).max(self.now + self.config.quantum);
+                    let due = self.grid_ceil(ready_at).max(self.now + QUANTUM);
                     self.events.push(due, SimEvent::ColdStartReady(uid));
                 }
                 InstanceState::ColdStarting { ready_at }
@@ -608,7 +604,7 @@ impl ClusterSim {
             if self.event_active {
                 // This wake's promotion phase has already run; the dense
                 // stepper would promote at the next processed quantum.
-                let due = self.grid_ceil(ready_at).max(self.now + self.config.quantum);
+                let due = self.grid_ceil(ready_at).max(self.now + QUANTUM);
                 self.events.push(due, SimEvent::ColdStartReady(uid));
             }
             InstanceState::ColdStarting { ready_at }

@@ -19,7 +19,7 @@
 
 use dilu_models::ModelId;
 use dilu_net::{ModelCache, NetPlane, NetworkConfig};
-use dilu_sim::{SimDuration, SimTime};
+use dilu_sim::SimTime;
 
 use crate::sim::{ClusterSim, SimEvent};
 use crate::{FunctionId, InstanceState, InstanceUid};
@@ -49,9 +49,9 @@ pub(crate) struct NetState {
 }
 
 impl NetState {
-    pub(crate) fn new(nodes: u32, cfg: NetworkConfig, quantum: SimDuration) -> Self {
+    pub(crate) fn new(nodes: u32, cfg: NetworkConfig) -> Self {
         NetState {
-            plane: NetPlane::new(nodes as usize, &cfg, quantum),
+            plane: NetPlane::new(nodes as usize, &cfg, dilu_gpu::QUANTUM),
             caches: (0..nodes).map(|_| ModelCache::new(cfg.cache_bytes())).collect(),
             cfg,
         }

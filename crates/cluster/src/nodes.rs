@@ -15,8 +15,8 @@
 
 use std::collections::BTreeSet;
 
-use dilu_gpu::{Completion, GpuEngine, GpuError, InstanceId, SlotConfig, StepOutcome};
-use dilu_sim::{SimDuration, SimTime};
+use dilu_gpu::{Completion, GpuEngine, GpuError, InstanceId, SlotConfig, StepOutcome, QUANTUM};
+use dilu_sim::SimTime;
 
 use crate::{ClusterSpec, GpuAddr, PolicyFactory};
 
@@ -58,21 +58,21 @@ impl GpuSlot {
     /// any skipped idle cycles into its share policy (at most
     /// `replay_cap` of them) so derived policy state evolves as under
     /// dense stepping.
-    pub(crate) fn advance(&mut self, now: SimTime, quantum: SimDuration, out: &mut StepOutcome) {
+    pub(crate) fn advance(&mut self, now: SimTime, out: &mut StepOutcome) {
         let gap_cycles = match self.last_step {
             Some(last) => {
-                let expected = last + quantum;
+                let expected = last + QUANTUM;
                 if now > expected {
-                    (now - expected).as_micros() / quantum.as_micros()
+                    (now - expected).as_micros() / QUANTUM.as_micros()
                 } else {
                     0
                 }
             }
-            None => now.as_micros() / quantum.as_micros(),
+            None => now.as_micros() / QUANTUM.as_micros(),
         };
         if gap_cycles > 0 {
             let replay = gap_cycles.min(self.replay_cap);
-            let from = now - quantum * replay;
+            let from = now - QUANTUM * replay;
             self.engine.idle_fastforward(from, replay, self.policy.as_mut());
         }
         self.last_step = Some(now);
@@ -89,24 +89,24 @@ impl GpuSlot {
     /// replay includes `now`), while a push from the dispatch or
     /// promotion phases lands *before* it (the quantum at `now` is about
     /// to be stepped normally and must not be replayed).
-    pub(crate) fn catch_up(&mut self, now: SimTime, quantum: SimDuration, post_step: bool) {
+    pub(crate) fn catch_up(&mut self, now: SimTime, post_step: bool) {
         let expected = match self.last_step {
-            Some(last) => last + quantum,
+            Some(last) => last + QUANTUM,
             None => SimTime::ZERO,
         };
         let through = if post_step {
             now
-        } else if now.as_micros() >= quantum.as_micros() {
-            now - quantum
+        } else if now.as_micros() >= QUANTUM.as_micros() {
+            now - QUANTUM
         } else {
             return;
         };
         if through < expected {
             return;
         }
-        let gap_cycles = (through - expected).as_micros() / quantum.as_micros() + 1;
+        let gap_cycles = (through - expected).as_micros() / QUANTUM.as_micros() + 1;
         let replay = gap_cycles.min(self.replay_cap);
-        let from = through - quantum * (replay - 1);
+        let from = through - QUANTUM * (replay - 1);
         self.engine.idle_fastforward(from, replay, self.policy.as_mut());
         self.last_step = Some(through);
     }
@@ -132,16 +132,12 @@ pub(crate) struct NodePlane {
 }
 
 impl NodePlane {
-    pub(crate) fn new(
-        spec: &ClusterSpec,
-        quantum: SimDuration,
-        policy_factory: &dyn PolicyFactory,
-    ) -> Self {
+    pub(crate) fn new(spec: &ClusterSpec, policy_factory: &dyn PolicyFactory) -> Self {
         let gpus = (0..spec.total_gpus())
             .map(|_| {
                 let policy = policy_factory.make();
                 GpuSlot {
-                    engine: GpuEngine::with_quantum(spec.gpu_mem_bytes, quantum),
+                    engine: GpuEngine::new(spec.gpu_mem_bytes),
                     replay_cap: policy.idle_history_cycles().max(1),
                     policy,
                     used_accum: 0.0,
@@ -231,13 +227,12 @@ impl NodePlane {
         &mut self,
         busy_only: bool,
         now: SimTime,
-        quantum: SimDuration,
         completions: &mut Vec<Completion>,
         issued: &mut Vec<(InstanceId, u64)>,
     ) {
         let NodePlane { gpus, busy, scratch, .. } = self;
         let mut step = |slot: &mut GpuSlot| {
-            slot.advance(now, quantum, scratch);
+            slot.advance(now, scratch);
             slot.used_accum += scratch.total_used.as_fraction();
             completions.append(&mut scratch.completions);
             issued.append(&mut scratch.blocks_issued);
@@ -261,11 +256,12 @@ mod tests {
     use super::*;
     use dilu_gpu::policies::FairSharePolicy;
     use dilu_gpu::{SmRate, TaskClass, WorkItem, GB};
+    use dilu_sim::SimDuration;
 
     fn plane(nodes: u32, gpus_per_node: u32) -> NodePlane {
         let spec = ClusterSpec { nodes, gpus_per_node, gpu_mem_bytes: 40 * GB };
         let factory = crate::named("fair", || Box::new(FairSharePolicy));
-        NodePlane::new(&spec, SimDuration::from_millis(5), &factory)
+        NodePlane::new(&spec, &factory)
     }
 
     fn config(mem: u64) -> SlotConfig {
@@ -314,7 +310,6 @@ mod tests {
     #[test]
     fn busy_only_step_merges_identically_to_stepping_every_gpu() {
         const QUANTA: u32 = 20;
-        let quantum = SimDuration::from_millis(5);
         let busy = [(0, 0), (0, 2), (1, 1), (3, 0), (3, 2)];
         let run = |busy_only: bool| {
             let mut plane = plane(4, 3);
@@ -334,13 +329,13 @@ mod tests {
             let (mut completions, mut issued) = (Vec::new(), Vec::new());
             let mut now = SimTime::ZERO;
             for q in 0..QUANTA {
-                plane.step(busy_only, now, quantum, &mut completions, &mut issued);
+                plane.step(busy_only, now, &mut completions, &mut issued);
                 if q == 0 {
                     // Instance ids follow `busy`, which lists GPUs node-major.
                     let order: Vec<u64> = issued.iter().map(|(id, _)| id.0).collect();
                     assert_eq!(order, [0, 1, 2, 3, 4], "GPUs step in node-major order");
                 }
-                now += quantum;
+                now += QUANTUM;
             }
             assert!(
                 !busy_only || !plane.has_busy(),

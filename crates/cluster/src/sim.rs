@@ -30,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use dilu_gpu::SmRate;
+use dilu_gpu::{SmRate, QUANTUM};
 use dilu_metrics::{
     ColdStartCounter, FragmentationStats, LatencyRecorder, PhaseProfile, PhaseProfiler, RateWindow,
     ResizeCounter, SampleClock, SimPhase,
@@ -67,30 +67,38 @@ pub enum TimeModel {
     DenseQuantum,
 }
 
-/// Tunables of the serving plane.
+/// Controller tick and metrics sampling period: the scalers read
+/// per-second request windows once a second, and every metrics sample
+/// stands for one second of GPU time.
+pub(crate) const TICK: SimDuration = SimDuration::from_secs(1);
+
+/// Fraction of the SLO a partial batch may wait before dispatch.
+pub(crate) const BATCH_TIMEOUT_FRAC: f64 = 0.25;
+
+/// Cap on the batching wait regardless of SLO.
+pub(crate) const BATCH_TIMEOUT_CAP: SimDuration = SimDuration::from_millis(100);
+
+/// Extra per-stage cost modelling activation transfer when no network
+/// plane prices it. Below the fastest batch in the model zoo (BERT-base at
+/// batch 1, 3.75 ms), so it never exceeds a batch's own compute time.
+pub(crate) const STAGE_TRANSFER: SimDuration = SimDuration::from_millis(2);
+
+/// Delay between a [`ScaleAction::ResizeQuota`] decision and the new
+/// quotas reaching the GPUs: the paper's millisecond-scale vertical
+/// scaling, against the seconds-scale cold start of a scale-out.
+///
+/// [`ScaleAction::ResizeQuota`]: crate::ScaleAction::ResizeQuota
+pub(crate) const RESIZE_LATENCY: SimDuration = SimDuration::from_millis(1);
+
+/// Options of the serving plane. Its clocks are fixed: GPUs step on
+/// [`dilu_gpu::QUANTUM`] and the controller ticks once a second.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// GPU scheduling quantum (the paper's 5 ms token period).
-    pub quantum: SimDuration,
-    /// Fraction of the SLO a partial batch may wait before dispatch.
-    pub batch_timeout_frac: f64,
-    /// Cap on the batching wait regardless of SLO.
-    pub batch_timeout_cap: SimDuration,
-    /// Extra per-stage cost modelling activation transfer in pipelines.
-    pub stage_transfer: SimDuration,
-    /// Elasticity-controller tick and metrics sampling period.
-    pub tick: SimDuration,
-    /// Delay between a [`ScaleAction::ResizeQuota`] decision and the new
-    /// quotas reaching the GPUs (the paper's millisecond-scale vertical
-    /// scaling, vs. the seconds-scale cold start of a scale-out).
-    ///
-    /// [`ScaleAction::ResizeQuota`]: crate::ScaleAction::ResizeQuota
-    pub resize_latency: SimDuration,
     /// The time model driving [`ClusterSim::run_until`].
     pub time_model: TimeModel,
     /// The network/topology plane. `None` (the default) keeps the legacy
     /// constants: cold starts cost [`crate::cold_start_duration`] and
-    /// pipeline stages add [`SimConfig::stage_transfer`] — reports are
+    /// pipeline stages add a fixed 2 ms transfer — reports are
     /// byte-identical to pre-network builds. `Some` makes cold starts pay
     /// for weight bytes over contended links (with per-node LRU model
     /// caches short-circuiting repeat fetches) and pipeline handoffs pay
@@ -114,12 +122,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            quantum: SimDuration::from_millis(5),
-            batch_timeout_frac: 0.25,
-            batch_timeout_cap: SimDuration::from_millis(100),
-            stage_transfer: SimDuration::from_millis(2),
-            tick: SimDuration::from_secs(1),
-            resize_latency: SimDuration::from_millis(1),
             time_model: TimeModel::EventDriven,
             network: None,
             profile: false,
@@ -164,7 +166,7 @@ pub enum SimEvent {
     /// full-batch dispatch or instance termination withdraws it.
     BatchDeadline(InstanceUid),
     /// Metrics sample plus elasticity-controller tick (the two share the
-    /// [`SimConfig::tick`] cadence, exactly as in the dense stepper).
+    /// one-second cadence, exactly as in the dense stepper).
     ControllerTick,
     /// At least one pending [`ScaleAction::ResizeQuota`] reaches the end of
     /// its apply latency.
@@ -227,22 +229,6 @@ impl SimEvent {
         match self {
             SimEvent::BatchDeadline(uid) | SimEvent::ColdStartReady(uid) => uid.0,
             _ => 0,
-        }
-    }
-
-    /// Rebuilds an event from its logged parts. `None` for codes that
-    /// are not heap events (the quantum-chain code, future versions).
-    pub fn from_parts(code: u8, uid: u64) -> Option<SimEvent> {
-        match code {
-            0 => Some(SimEvent::GpuQuantum),
-            1 => Some(SimEvent::ArrivalBatch),
-            2 => Some(SimEvent::BatchDeadline(InstanceUid(uid))),
-            3 => Some(SimEvent::ControllerTick),
-            4 => Some(SimEvent::ResizeApply),
-            5 => Some(SimEvent::ColdStartReady(InstanceUid(uid))),
-            6 => Some(SimEvent::TrainingSubmit),
-            7 => Some(SimEvent::NetFlowDone),
-            _ => None,
         }
     }
 }
@@ -445,10 +431,8 @@ impl ClusterSim {
         policy_factory: &dyn PolicyFactory,
     ) -> Self {
         ClusterSim {
-            nodes: NodePlane::new(&spec, config.quantum, policy_factory),
-            net: config
-                .network
-                .map(|cfg| crate::netplane::NetState::new(spec.nodes, cfg, config.quantum)),
+            nodes: NodePlane::new(&spec, policy_factory),
+            net: config.network.map(|cfg| crate::netplane::NetState::new(spec.nodes, cfg)),
             spec,
             config,
             share_policy_name: policy_factory.name().to_owned(),
@@ -472,7 +456,7 @@ impl ClusterSim {
             next_uid: 1,
             next_request: 1,
             next_batch: 1,
-            next_sample_at: SimTime::ZERO + config.tick,
+            next_sample_at: SimTime::ZERO + TICK,
             sample_clock: SampleClock::new(),
             events: EventQueue::new(),
             dirty: Vec::new(),
@@ -617,14 +601,14 @@ impl ClusterSim {
 
     /// First quantum-grid instant at or after `t`.
     pub(crate) fn grid_ceil(&self, t: SimTime) -> SimTime {
-        let q = self.config.quantum.as_micros();
+        let q = QUANTUM.as_micros();
         SimTime::from_micros(t.as_micros().div_ceil(q) * q)
     }
 
     /// Last quantum-grid instant at or before `t` — the quantum start
     /// whose window `[g, g + quantum)` covers `t`.
     fn grid_floor(&self, t: SimTime) -> SimTime {
-        let q = self.config.quantum.as_micros();
+        let q = QUANTUM.as_micros();
         SimTime::from_micros(t.as_micros() / q * q)
     }
 
@@ -727,7 +711,7 @@ impl ClusterSim {
     /// dense stepper's `now + quantum >= next_sample_at` check fires.
     fn schedule_controller_tick(&mut self, floor: SimTime) {
         let target = SimTime::from_micros(
-            self.next_sample_at.as_micros().saturating_sub(self.config.quantum.as_micros()),
+            self.next_sample_at.as_micros().saturating_sub(QUANTUM.as_micros()),
         );
         let at = self.grid_ceil(target).max(floor);
         self.events.push(at, SimEvent::ControllerTick);
@@ -961,12 +945,12 @@ impl ClusterSim {
             let pt = self.profiler.start();
             self.sample_metrics();
             self.run_controller();
-            self.next_sample_at += self.config.tick;
-            self.schedule_controller_tick(self.now + self.config.quantum);
+            self.next_sample_at += TICK;
+            self.schedule_controller_tick(self.now + QUANTUM);
             self.profiler.record(SimPhase::Tick, pt, 1);
         }
         if self.nodes.has_busy() || !self.dirty.is_empty() || self.draining_count > 0 {
-            self.ensure_quantum_wake(t + self.config.quantum);
+            self.ensure_quantum_wake(t + QUANTUM);
         }
         ready.clear();
         expired.clear();
@@ -1016,14 +1000,14 @@ impl ClusterSim {
         self.reap_drained();
         let reaped = u64::from(before.saturating_sub(self.draining_count));
         self.profiler.record(SimPhase::Reap, pt, reaped);
-        if self.now + self.config.quantum >= self.next_sample_at {
+        if self.now + QUANTUM >= self.next_sample_at {
             let pt = self.profiler.start();
             self.sample_metrics();
             self.run_controller();
-            self.next_sample_at += self.config.tick;
+            self.next_sample_at += TICK;
             self.profiler.record(SimPhase::Tick, pt, 1);
         }
-        self.now += self.config.quantum;
+        self.now += QUANTUM;
     }
 
     /// The GPU phase: the node plane steps the busy GPUs (`busy_only`, the
@@ -1035,7 +1019,7 @@ impl ClusterSim {
         let mut issued = std::mem::take(&mut self.issued_buf);
         completions.clear();
         issued.clear();
-        self.nodes.step(busy_only, self.now, self.config.quantum, &mut completions, &mut issued);
+        self.nodes.step(busy_only, self.now, &mut completions, &mut issued);
         self.attribute_blocks(&issued);
         self.gpu_phase_done = true;
         let handled = completions.len() as u64;

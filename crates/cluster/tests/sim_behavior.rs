@@ -361,17 +361,15 @@ impl ElasticityController for PersistentResizer {
 }
 
 #[test]
-fn zero_resize_latency_matches_dense_stepping() {
-    // With resize_latency = 0 the controller's decision is due at the
-    // very instant it was made — after this wake's apply phase already
-    // ran. The event core must defer it to the next quantum (where the
-    // dense stepper first sees it), not re-wake and re-step the same
-    // instant.
+fn resize_apply_matches_dense_stepping() {
+    // The controller's decision is due 1 ms after the tick that made it —
+    // after this wake's apply phase already ran. The event core must apply
+    // it at the next quantum (where the dense stepper first sees it), not
+    // re-wake and re-step the same instant.
     let run = |time_model: TimeModel| {
         let spec = inference_spec(1, ModelId::BertBase, 4);
         let func = spec.id;
-        let config =
-            SimConfig { resize_latency: SimDuration::ZERO, time_model, ..SimConfig::default() };
+        let config = SimConfig { time_model, ..SimConfig::default() };
         let mut sim = ClusterSim::new(
             ClusterSpec::single_node(1),
             config,
@@ -406,33 +404,38 @@ fn zero_resize_latency_matches_dense_stepping() {
     assert_eq!(
         format!("{dense:?}"),
         format!("{event:?}"),
-        "zero-latency resizes must not desynchronise the time models"
+        "resizes must not desynchronise the time models"
     );
 }
 
 #[test]
-fn re_requested_resizes_keep_their_original_due_time() {
-    // With resize_latency longer than the tick, a controller re-emitting
-    // its decision every tick must not push the apply out forever.
+fn a_re_requested_resize_retargets_the_pending_one() {
+    // Two resizes of one function in one tick: the second finds the first
+    // still pending and retargets it, so one resize applies, with the
+    // second action's quotas.
     let spec = inference_spec(1, ModelId::BertBase, 4);
     let func = spec.id;
-    let config = SimConfig { resize_latency: SimDuration::from_secs(2), ..SimConfig::default() };
+    let resize = |request: f64, limit: f64| ScaleAction::ResizeQuota {
+        func,
+        request: SmRate::from_percent(request),
+        limit: SmRate::from_percent(limit),
+    };
     let mut sim = ClusterSim::new(
         ClusterSpec::single_node(1),
-        config,
+        SimConfig::default(),
         Box::new(FirstFit),
-        Box::new(PersistentResizer { func, target: SmRate::from_percent(70.0) }),
+        Box::new(ActOnce(vec![resize(60.0, 60.0), resize(70.0, 80.0)])),
         &fair_factory(),
     );
     let arrivals = Box::new(PoissonProcess::new(5.0, 3));
-    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(8)).unwrap();
-    sim.run_until(SimTime::from_secs(8));
+    sim.deploy_inference(spec, 1, arrivals, SimTime::from_secs(4)).unwrap();
+    sim.run_until(SimTime::from_secs(4));
+    let audit = sim.audit();
+    let gpu = &audit.gpus[0];
+    assert_eq!(gpu.sum_request, SmRate::from_percent(70.0).as_fraction());
+    assert_eq!(gpu.sum_limit, SmRate::from_percent(80.0).as_fraction());
     let report = sim.into_report();
-    assert_eq!(
-        report.inference[&func].resizes.total(),
-        1,
-        "the resize must apply once despite per-tick re-requests"
-    );
+    assert_eq!(report.inference[&func].resizes.total(), 1, "the two requests apply as one");
 }
 
 #[test]

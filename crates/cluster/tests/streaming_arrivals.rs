@@ -144,9 +144,7 @@ fn a_burst_larger_than_the_window_is_ingested_in_its_quantum() {
     let burst = 2 * ARRIVAL_WINDOW + 3;
     let at = SimTime::from_secs(1);
     for time_model in [TimeModel::EventDriven, TimeModel::DenseQuantum] {
-        let config = SimConfig { time_model, ..SimConfig::default() };
-        let quantum = config.quantum;
-        let mut sim = sim_with(config);
+        let mut sim = sim_with(SimConfig { time_model, ..SimConfig::default() });
         let arrivals = Box::new(ReplayProcess::new(vec![at; burst]));
         sim.deploy_inference(infer_spec(1, ModelId::BertBase), 1, arrivals, SimTime::MAX).unwrap();
         sim.run_until(at);
@@ -155,7 +153,7 @@ fn a_burst_larger_than_the_window_is_ingested_in_its_quantum() {
         assert_eq!(func.arrived, 0, "{time_model:?}: nothing is due before the burst");
         assert_eq!(func.pending_arrivals, ARRIVAL_WINDOW as u64, "{time_model:?}: window cap");
 
-        sim.run_until(at + quantum);
+        sim.run_until(at + dilu_gpu::QUANTUM);
         let after = sim.audit();
         let func = after.function(FunctionId(1)).expect("deployed");
         assert_eq!(func.arrived, burst as u64, "{time_model:?}: burst not fully ingested");

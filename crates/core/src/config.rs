@@ -14,9 +14,8 @@
 //! [system.controller]          # optional: the elasticity controller
 //! name = "co-scale"            # 2D; or lazy, keep-alive, reactive, null
 //!
-//! [sim]                        # optional serving-plane tunables
-//! quantum_ms = 5.0
-//! resize_latency_ms = 1.0
+//! [sim]                        # optional serving-plane options
+//! time_model = "event-driven"  # or "dense-quantum", the reference stepper
 //!
 //! [run]
 //! horizon_secs = 30
@@ -58,13 +57,33 @@ pub struct ClusterSection {
 }
 
 impl ClusterSection {
-    fn to_spec(&self) -> ClusterSpec {
+    /// Maps the section onto a [`ClusterSpec`].
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Config`] when the GPU count or the memory in bytes
+    /// does not fit its integer type.
+    fn to_spec(&self) -> Result<ClusterSpec, ScenarioError> {
         let d = ClusterSpec::paper_testbed();
-        ClusterSpec {
+        let spec = ClusterSpec {
             nodes: self.nodes.unwrap_or(d.nodes),
             gpus_per_node: self.gpus_per_node.unwrap_or(d.gpus_per_node),
-            gpu_mem_bytes: self.gpu_mem_gb.map(|gb| gb * dilu_gpu::GB).unwrap_or(d.gpu_mem_bytes),
+            gpu_mem_bytes: match self.gpu_mem_gb {
+                None => d.gpu_mem_bytes,
+                Some(gb) => gb.checked_mul(dilu_gpu::GB).ok_or_else(|| {
+                    ScenarioError::Config(format!(
+                        "[cluster] `gpu_mem_gb` = {gb} overflows a byte count"
+                    ))
+                })?,
+            },
+        };
+        if spec.nodes.checked_mul(spec.gpus_per_node).is_none() {
+            return Err(ScenarioError::Config(format!(
+                "[cluster] `nodes` × `gpus_per_node` = {} × {} overflows a GPU count",
+                spec.nodes, spec.gpus_per_node
+            )));
         }
+        Ok(spec)
     }
 }
 
@@ -132,22 +151,10 @@ pub struct SystemSection {
     pub share_policy: Option<ComponentSection>,
 }
 
-/// Serving-plane tunables section (`[sim]`); every field defaults to
-/// [`SimConfig::default`]. Durations are in (fractional) milliseconds.
+/// Serving-plane options section (`[sim]`); every field defaults to
+/// [`SimConfig::default`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimSection {
-    /// GPU scheduling quantum (the RCKM token period) in ms.
-    pub quantum_ms: Option<f64>,
-    /// Controller tick and metrics sampling period in ms.
-    pub tick_ms: Option<f64>,
-    /// Fraction of the SLO a partial batch may wait before dispatch.
-    pub batch_timeout_frac: Option<f64>,
-    /// Cap on the batching wait regardless of SLO, in ms.
-    pub batch_timeout_cap_ms: Option<f64>,
-    /// Extra per-stage cost modelling activation transfer, in ms.
-    pub stage_transfer_ms: Option<f64>,
-    /// Delay before a vertical quota resize reaches the GPUs, in ms.
-    pub resize_latency_ms: Option<f64>,
     /// Time model: `"event-driven"` (default) or `"dense-quantum"` (the
     /// legacy stepper, kept as the executable specification).
     pub time_model: Option<String>,
@@ -168,45 +175,10 @@ impl SimSection {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Config`] for non-finite or negative values, a
-    /// quantum or tick that rounds to 0 µs, a `batch_timeout_frac` outside
-    /// `[0, 1]`, a tick shorter than the quantum, or `threads` other than 1.
+    /// [`ScenarioError::Config`] for an unknown `time_model` or `threads`
+    /// other than 1.
     pub fn to_config(&self) -> Result<SimConfig, ScenarioError> {
-        fn duration(
-            key: &str,
-            ms: Option<f64>,
-            default: SimDuration,
-            allow_zero: bool,
-        ) -> Result<SimDuration, ScenarioError> {
-            let Some(ms) = ms else { return Ok(default) };
-            // Simulated time counts whole microseconds, so a positive value
-            // below 0.0005 ms is a zero duration too.
-            match (ms.is_finite() && ms >= 0.0).then(|| SimDuration::from_millis_f64(ms)) {
-                Some(d) if allow_zero || d > SimDuration::ZERO => Ok(d),
-                _ => Err(ScenarioError::Config(format!(
-                    "[sim] `{key}` must be {}, got {ms}",
-                    if allow_zero {
-                        "a non-negative number of milliseconds"
-                    } else {
-                        "at least 0.0005 ms (1 µs once rounded)"
-                    }
-                ))),
-            }
-        }
         let d = SimConfig::default();
-        let quantum = duration("quantum_ms", self.quantum_ms, d.quantum, false)?;
-        let tick = duration("tick_ms", self.tick_ms, d.tick, false)?;
-        if tick < quantum {
-            return Err(ScenarioError::Config(format!(
-                "[sim] `tick_ms` ({tick}) must not be shorter than `quantum_ms` ({quantum})"
-            )));
-        }
-        let frac = self.batch_timeout_frac.unwrap_or(d.batch_timeout_frac);
-        if !(frac.is_finite() && (0.0..=1.0).contains(&frac)) {
-            return Err(ScenarioError::Config(format!(
-                "[sim] `batch_timeout_frac` must be in [0, 1], got {frac}"
-            )));
-        }
         if let Some(threads) = self.threads.filter(|&t| t != 1) {
             return Err(ScenarioError::Config(format!(
                 "[sim] `threads` must be 1, got {threads}: a run steps its GPUs on one thread"
@@ -223,27 +195,6 @@ impl SimSection {
             }
         };
         Ok(SimConfig {
-            quantum,
-            tick,
-            batch_timeout_frac: frac,
-            batch_timeout_cap: duration(
-                "batch_timeout_cap_ms",
-                self.batch_timeout_cap_ms,
-                d.batch_timeout_cap,
-                true,
-            )?,
-            stage_transfer: duration(
-                "stage_transfer_ms",
-                self.stage_transfer_ms,
-                d.stage_transfer,
-                true,
-            )?,
-            resize_latency: duration(
-                "resize_latency_ms",
-                self.resize_latency_ms,
-                d.resize_latency,
-                true,
-            )?,
             time_model,
             network: d.network,
             profile: self.profile.unwrap_or(d.profile),
@@ -334,6 +285,33 @@ pub struct RunSection {
     pub drain_secs: Option<u64>,
     /// Root seed (default 7).
     pub seed: Option<u64>,
+}
+
+impl RunSection {
+    /// The traffic horizon and the drain tail.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Config`] when either, or the run's end (their
+    /// sum), does not fit simulated time (`u64` microseconds).
+    fn durations(&self) -> Result<(SimDuration, SimDuration), ScenarioError> {
+        let horizon_secs = self.horizon_secs.unwrap_or(60);
+        let drain_secs = self.drain_secs.unwrap_or(5);
+        let micros = |key: &str, secs: u64| {
+            secs.checked_mul(1_000_000).ok_or_else(|| {
+                ScenarioError::Config(format!("[run] `{key}` = {secs} overflows simulated time"))
+            })
+        };
+        let horizon = micros("horizon_secs", horizon_secs)?;
+        let drain = micros("drain_secs", drain_secs)?;
+        if horizon.checked_add(drain).is_none() {
+            return Err(ScenarioError::Config(format!(
+                "[run] `horizon_secs` + `drain_secs` = {horizon_secs} s + {drain_secs} s \
+                 overflows simulated time"
+            )));
+        }
+        Ok((SimDuration::from_micros(horizon), SimDuration::from_micros(drain)))
+    }
 }
 
 /// Deterministic fleet synthesizer section (`[fleet]`): expands to
@@ -466,8 +444,12 @@ impl ScenarioConfig {
     pub fn into_builder(self, registry: &Registry) -> Result<ScenarioBuilder, ScenarioError> {
         let run =
             self.run.unwrap_or(RunSection { horizon_secs: None, drain_secs: None, seed: None });
-        let horizon = SimDuration::from_secs(run.horizon_secs.unwrap_or(60));
+        let (horizon, drain) = run.durations()?;
         let seed = run.seed.unwrap_or(7);
+        let cluster = match &self.cluster {
+            Some(section) => section.to_spec()?,
+            None => ClusterSpec::default(),
+        };
 
         let mut builder = match &self.system.preset {
             Some(preset) => SystemKind::from_name(preset)
@@ -479,11 +461,7 @@ impl ScenarioConfig {
                 .builder(),
             None => ScenarioBuilder::new(),
         };
-        builder = builder
-            .cluster(self.cluster.as_ref().map(ClusterSection::to_spec).unwrap_or_default())
-            .horizon(horizon)
-            .drain(SimDuration::from_secs(run.drain_secs.unwrap_or(5)))
-            .seed(seed);
+        builder = builder.cluster(cluster).horizon(horizon).drain(drain).seed(seed);
         if let Some(sim) = &self.sim {
             builder = builder.sim_config(sim.to_config()?);
         }
@@ -692,22 +670,7 @@ fn reject_unknown_keys(root: &Value) -> Result<(), ScenarioError> {
         check("[cluster]", cluster, &["nodes", "gpus_per_node", "gpu_mem_gb"])?;
     }
     if let Some(sim) = root.get("sim") {
-        check(
-            "[sim]",
-            sim,
-            &[
-                "quantum_ms",
-                "tick_ms",
-                "batch_timeout_frac",
-                "batch_timeout_cap_ms",
-                "stage_transfer_ms",
-                "resize_latency_ms",
-                "time_model",
-                "threads",
-                "profile",
-                "function_series",
-            ],
-        )?;
+        check("[sim]", sim, &["time_model", "threads", "profile", "function_series"])?;
     }
     if let Some(network) = root.get("network") {
         check(
@@ -923,12 +886,10 @@ arrivals = {{ process = "replay", times = [0.1, 3.0] }}
 preset = "dilu"
 
 [sim]
-quantum_ms = 2.5
-tick_ms = 500.0
-batch_timeout_frac = 0.5
-batch_timeout_cap_ms = 50.0
-stage_transfer_ms = 1.0
-resize_latency_ms = 2.0
+time_model = "dense-quantum"
+threads = 1
+profile = true
+function_series = false
 
 [run]
 horizon_secs = 5
@@ -946,23 +907,19 @@ arrivals = { process = "poisson", rate = 10.0 }
         let registry = Registry::with_defaults();
         let scenario = config.into_builder(&registry).unwrap().build().unwrap();
         let sim_config = *scenario.sim().config();
-        assert_eq!(sim_config.quantum, SimDuration::from_micros(2_500));
-        assert_eq!(sim_config.tick, SimDuration::from_millis(500));
-        assert!((sim_config.batch_timeout_frac - 0.5).abs() < 1e-12);
-        assert_eq!(sim_config.batch_timeout_cap, SimDuration::from_millis(50));
-        assert_eq!(sim_config.stage_transfer, SimDuration::from_millis(1));
-        assert_eq!(sim_config.resize_latency, SimDuration::from_millis(2));
+        assert_eq!(sim_config.time_model, dilu_cluster::TimeModel::DenseQuantum);
+        assert!(sim_config.profile);
+        assert!(!sim_config.function_series);
     }
 
     #[test]
     fn sim_section_rejects_invalid_values() {
         let registry = Registry::with_defaults();
         let cases = [
-            ("quantum_ms = 0.0", "quantum_ms"),
-            ("quantum_ms = -1.0", "quantum_ms"),
-            ("quantum_ms = 0.0004", "quantum_ms"), // rounds to 0 µs
-            ("tick_ms = 1.0", "tick_ms"),          // shorter than the default 5 ms quantum
-            ("batch_timeout_frac = 1.5", "batch_timeout_frac"),
+            ("time_model = \"sometimes\"", "sometimes"),
+            ("threads = 2", "threads"),
+            // The serving-plane clocks are constants, not keys.
+            ("tick_ms = 500.0", "unknown key `tick_ms`"),
             ("quantum_typo_ms = 5.0", "quantum_typo_ms"),
         ];
         for (line, needle) in cases {

@@ -140,24 +140,6 @@ pub fn run_fig14() -> Fig14 {
     Fig14 { totals, series }
 }
 
-impl Fig13 {
-    /// Mean inference-kernel ratio of `system` within a case.
-    pub fn mean_ratio(&self, case_idx: usize, system: &str) -> f64 {
-        let Some(case) = self.cases.get(case_idx) else {
-            return 0.0;
-        };
-        let Some(s) = case.series.iter().find(|s| s.system == system) else {
-            return 0.0;
-        };
-        let active: Vec<f64> = s.points.iter().map(|&(_, r)| r).filter(|&r| r > 0.0).collect();
-        if active.is_empty() {
-            0.0
-        } else {
-            active.iter().sum::<f64>() / active.len() as f64
-        }
-    }
-}
-
 impl std::fmt::Display for Fig13 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for case in &self.cases {

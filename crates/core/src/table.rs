@@ -97,13 +97,6 @@ pub fn experiments_dir() -> PathBuf {
     root.join("target/experiments")
 }
 
-/// Writes an experiment result as JSON under the workspace's
-/// `target/experiments/<name>.json` so EXPERIMENTS.md rows are regenerable.
-/// Failures are reported, not fatal.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    write_json_at(&experiments_dir().join(format!("{name}.json")), value);
-}
-
 /// Writes `value` as pretty JSON to `path`, creating parent directories.
 /// Failures are reported, not fatal.
 pub fn write_json_at<T: Serialize + ?Sized>(path: &std::path::Path, value: &T) {

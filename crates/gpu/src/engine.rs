@@ -7,8 +7,9 @@ use dilu_sim::{SimDuration, SimTime};
 use crate::curves::rate_factor;
 use crate::{GpuError, Grant, InstanceId, InstanceView, SharePolicy, SmRate, WorkItem, WorkKind};
 
-/// Default scheduling quantum: the paper's 5 ms RCKM token period.
-const DEFAULT_QUANTUM: SimDuration = SimDuration::from_millis(5);
+/// The scheduling quantum: the paper's 5 ms RCKM token period. Every
+/// engine steps on it, and share policies are consulted once per quantum.
+pub const QUANTUM: SimDuration = SimDuration::from_millis(5);
 
 /// Static configuration of a resident instance slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +112,6 @@ impl Slot {
 /// example.
 #[derive(Debug)]
 pub struct GpuEngine {
-    quantum: SimDuration,
     mem_capacity: u64,
     mem_used: u64,
     slots: BTreeMap<InstanceId, Slot>,
@@ -126,21 +126,9 @@ pub struct GpuEngine {
 }
 
 impl GpuEngine {
-    /// Creates a GPU with the given device memory and the default 5 ms
-    /// quantum.
+    /// Creates a GPU with the given device memory.
     pub fn new(mem_capacity: u64) -> Self {
-        Self::with_quantum(mem_capacity, DEFAULT_QUANTUM)
-    }
-
-    /// Creates a GPU with an explicit scheduling quantum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_quantum(mem_capacity: u64, quantum: SimDuration) -> Self {
-        assert!(!quantum.is_zero(), "quantum must be positive");
         GpuEngine {
-            quantum,
             mem_capacity,
             mem_used: 0,
             slots: BTreeMap::new(),
@@ -149,11 +137,6 @@ impl GpuEngine {
             eff_buf: Vec::new(),
             grant_buf: Vec::new(),
         }
-    }
-
-    /// The scheduling quantum.
-    pub fn quantum(&self) -> SimDuration {
-        self.quantum
     }
 
     /// Total device memory in bytes.
@@ -296,7 +279,7 @@ impl GpuEngine {
         if self.is_idle() {
             None
         } else {
-            Some(now + self.quantum)
+            Some(now + QUANTUM)
         }
     }
 
@@ -342,12 +325,12 @@ impl GpuEngine {
         let mut fixed_point: Option<Vec<Grant>> = None;
         for replayed in 1..=cycles {
             self.views_into(&mut views);
-            policy.allocate_into(now, self.quantum, &views, &mut grants);
+            policy.allocate_into(now, QUANTUM, &views, &mut grants);
             for slot in self.slots.values_mut() {
                 slot.blocks_last_quantum = 0;
                 slot.idle_quanta = slot.idle_quanta.saturating_add(1);
             }
-            now += self.quantum;
+            now += QUANTUM;
             if let Some(reference) = &fixed_point {
                 assert!(
                     grants == *reference && policy.idle_history_cycles() == 0,
@@ -434,17 +417,15 @@ impl GpuEngine {
         let mut views = std::mem::take(&mut self.view_buf);
         let mut grants = std::mem::take(&mut self.grant_buf);
         self.views_into(&mut views);
-        policy.allocate_into(now, self.quantum, &views, &mut grants);
+        policy.allocate_into(now, QUANTUM, &views, &mut grants);
         let mut effective = std::mem::take(&mut self.eff_buf);
         self.resolve_grants(&grants, &mut effective);
         self.view_buf = views;
         self.grant_buf = grants;
 
-        let quantum = self.quantum;
         for (&id, slot) in self.slots.iter_mut() {
             let eff = effective.iter().find(|(gid, _)| *gid == id).map(|&(_, e)| e).unwrap_or(0.0);
-            let (used, blocks) =
-                advance_slot(id, slot, now, quantum, eff, &mut outcome.completions);
+            let (used, blocks) = advance_slot(id, slot, now, eff, &mut outcome.completions);
             slot.blocks_last_quantum = blocks;
             slot.blocks_total += blocks;
             self.blocks_total += blocks;
@@ -498,11 +479,10 @@ fn advance_slot(
     id: InstanceId,
     slot: &mut Slot,
     now: SimTime,
-    quantum: SimDuration,
     eff: f64,
     completions: &mut Vec<Completion>,
 ) -> (f64, u64) {
-    let mut budget = quantum;
+    let mut budget = QUANTUM;
     let mut sm_time_used = SimDuration::ZERO;
     let mut blocks_issued: u64 = 0;
 
@@ -531,7 +511,7 @@ fn advance_slot(
                     completions.push(Completion {
                         instance: id,
                         tag: active.item.tag,
-                        at: now + (quantum - budget),
+                        at: now + (QUANTUM - budget),
                         elapsed,
                         klc_inflation: 0.0,
                     });
@@ -572,7 +552,7 @@ fn advance_slot(
                     completions.push(Completion {
                         instance: id,
                         tag: active.item.tag,
-                        at: now + (quantum - budget),
+                        at: now + (QUANTUM - budget),
                         elapsed,
                         klc_inflation: inflation,
                     });
@@ -591,7 +571,7 @@ fn advance_slot(
         }
     }
 
-    (sm_time_used.ratio(quantum), blocks_issued)
+    (sm_time_used.ratio(QUANTUM), blocks_issued)
 }
 
 /// Extension: saturating subtraction helper used by the inner loop.
@@ -634,7 +614,7 @@ mod tests {
             }
             let out = gpu.step(now, policy);
             done.extend(out.completions);
-            now += gpu.quantum();
+            now += QUANTUM;
         }
         assert!(gpu.is_idle(), "engine failed to drain");
         done
@@ -735,7 +715,7 @@ mod tests {
             let out = gpu.step(now, &mut FairSharePolicy);
             used_any |= out.total_used.as_fraction() > 1e-12;
             done.extend(out.completions);
-            now += gpu.quantum();
+            now += QUANTUM;
         }
         assert!(!used_any, "idle phases must not consume SM");
         assert_eq!(done[0].elapsed, SimDuration::from_millis(12));
@@ -821,11 +801,11 @@ mod tests {
         gpu.resize(id, SmRate::from_percent(60.0), SmRate::from_percent(60.0)).unwrap();
         assert_eq!(gpu.views()[0].request, SmRate::from_percent(60.0));
         let mut full = StaticPartitionPolicy::new([(id, SmRate::from_percent(60.0))]);
-        let mut now = SimTime::ZERO + gpu.quantum();
+        let mut now = SimTime::ZERO + QUANTUM;
         let mut done = Vec::new();
         while done.is_empty() {
             done.extend(gpu.step(now, &mut full).completions);
-            now += gpu.quantum();
+            now += QUANTUM;
         }
         // One quantum at 30/60 (rate 0.574) then saturated: well under the
         // ~70 ms a permanently capped run would take.
@@ -861,7 +841,7 @@ mod tests {
         )
         .unwrap();
         let now = SimTime::from_millis(15);
-        assert_eq!(gpu.next_event_at(now), Some(now + gpu.quantum()));
+        assert_eq!(gpu.next_event_at(now), Some(now + QUANTUM));
         let mut policy = FairSharePolicy;
         run_until_idle(&mut gpu, &mut policy);
         assert_eq!(gpu.next_event_at(SimTime::ZERO), None, "drained GPU needs no wake");
@@ -949,7 +929,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..4 {
             gpu.step(now, &mut zero);
-            now += gpu.quantum();
+            now += QUANTUM;
         }
         assert!(gpu.views()[0].klc_inflation > 0.5);
         assert!(gpu.views()[0].idle_quanta >= 4);

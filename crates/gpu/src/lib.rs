@@ -6,7 +6,7 @@
 //! * a [`GpuEngine`] owns resident instance *slots*, each with a queue of
 //!   [`WorkItem`]s (compute phases consume SM rate, idle phases model
 //!   communication/bubbles and consume none);
-//! * every quantum (default 5 ms, the paper's RCKM token period) a
+//! * every [`QUANTUM`] (5 ms, the paper's RCKM token period) a
 //!   [`SharePolicy`] grants each slot an SM rate; the engine clamps grants to
 //!   per-slot demand, resolves *physical* contention (Σ used ≤ capacity), and
 //!   advances work;
@@ -40,7 +40,7 @@
 //! while done.is_empty() {
 //!     let out = gpu.step(now, &mut policy);
 //!     done.extend(out.completions);
-//!     now += gpu.quantum();
+//!     now += dilu_gpu::QUANTUM;
 //! }
 //! assert_eq!(done[0].tag, 7);
 //! # Ok(())
@@ -59,7 +59,7 @@ mod types;
 mod work;
 
 pub use curves::rate_factor;
-pub use engine::{Completion, GpuEngine, SlotConfig, StepOutcome};
+pub use engine::{Completion, GpuEngine, SlotConfig, StepOutcome, QUANTUM};
 pub use error::GpuError;
 pub use policy::{Grant, InstanceView, SharePolicy, IDLE_HISTORY_CYCLES};
 pub use types::{InstanceId, SmRate, TaskClass, GB, MB};

@@ -4,7 +4,7 @@
 
 use dilu_gpu::{
     GpuEngine, Grant, InstanceId, InstanceView, SharePolicy, SlotConfig, SmRate, TaskClass,
-    WorkItem, GB,
+    WorkItem, GB, QUANTUM,
 };
 use dilu_rckm::{RckmConfig, RckmPolicy};
 use dilu_sim::{SimDuration, SimTime};
@@ -98,7 +98,7 @@ fn idle_fastforward_matches_dense_idle_stepping() {
     let mut now = SimTime::ZERO;
     for _ in 0..7 {
         dense.step(now, &mut dense_policy);
-        now += dense.quantum();
+        now += QUANTUM;
     }
     fast.idle_fastforward(SimTime::ZERO, 7, &mut fast_policy);
     assert_eq!(dense_policy.seen, fast_policy.seen);
@@ -128,13 +128,13 @@ fn idle_fastforward_matches_dense_idle_stepping() {
         let a = dense.step(now, &mut dense_policy);
         let b = fast.step(now, &mut fast_policy);
         assert_eq!(a.completions, b.completions);
-        now += dense.quantum();
+        now += QUANTUM;
     }
     assert!(fast.is_idle());
     let replay_from = now;
     for _ in 0..gap {
         dense.step(now, &mut dense_policy);
-        now += dense.quantum();
+        now += QUANTUM;
     }
     fast_policy.calls = 0;
     fast.idle_fastforward(replay_from, gap, &mut fast_policy);

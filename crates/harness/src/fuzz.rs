@@ -232,8 +232,8 @@ impl Harness {
 }
 
 /// Candidate one-step simplifications of a scenario, most aggressive
-/// first: fewer functions, a shorter horizon, a smaller fleet, default
-/// `[sim]` knobs, fewer pre-warmed instances, fewer replayed instants.
+/// first: fewer functions, a shorter horizon, a smaller fleet, no `[sim]`
+/// section, fewer pre-warmed instances, fewer replayed instants.
 fn shrink_candidates(config: &ScenarioConfig) -> Vec<ScenarioConfig> {
     let mut out = Vec::new();
     if config.functions.len() > 1 {
@@ -349,7 +349,7 @@ mod tests {
         let min = harness.shrink(&config, &AlwaysFails).expect("anything shrinks");
         assert_eq!(min.functions.len(), 1, "one function survives");
         assert_eq!(min.run.as_ref().unwrap().horizon_secs, Some(2), "horizon floors at 2 s");
-        assert!(min.sim.is_none(), "sim knobs reset to defaults");
+        assert!(min.sim.is_none(), "the [sim] section is dropped");
         let cluster = min.cluster.as_ref().unwrap();
         assert_eq!(cluster.nodes, Some(1));
     }

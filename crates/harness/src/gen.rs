@@ -5,16 +5,15 @@
 //! pair always yields the same [`ScenarioConfig`], which is what makes a
 //! printed seed a complete reproducer. Sampled dimensions: fleet shape,
 //! placement (with occasional Ω/Γ overrides), elasticity controller
-//! (2D co-scaler and every horizontal-only controller), share policy, `[sim]`
-//! knobs (quantum, tick, resize latency, time model), horizon, and one to
-//! three functions mixing inference (Poisson / Gamma / trace / replay /
-//! synth / trace-file arrivals, varied batch and initial instances) and
-//! training workloads.
+//! (2D co-scaler and every horizontal-only controller), share policy, time
+//! model, horizon, and one to three functions mixing inference (Poisson /
+//! Gamma / trace / replay / synth / trace-file arrivals, varied batch and
+//! initial instances) and training workloads.
 //!
 //! The generator constructs *valid* configs by construction — composition
-//! constraints (tick ≥ quantum, `gpus_per_instance` ≤ fleet, arrival
-//! processes with their required knobs) are respected at sampling time, so
-//! every case exercises the simulator rather than the config validator.
+//! constraints (`gpus_per_instance` ≤ fleet, arrival processes with their
+//! required knobs) are respected at sampling time, so every case exercises
+//! the simulator rather than the config validator.
 
 use dilu_core::{
     ClusterSection, ComponentSection, FunctionSection, NetworkSection, RunSection, ScenarioConfig,
@@ -118,15 +117,9 @@ pub fn generate_case(space: &SpaceConfig, case_seed: u64) -> ScenarioConfig {
     let controller = ComponentSection::named(controller_name);
     let share_policy = ComponentSection::named(pick(&mut rng, &space.share_policies).clone());
 
-    // `[sim]` knobs on half the cases; the rest run the defaults.
+    // An explicit time model on half the cases; the rest run the default.
     let sim = if rng.gen_range(0..2) == 0 {
         Some(SimSection {
-            quantum_ms: Some(*pick(&mut rng, &[2.5, 5.0])),
-            tick_ms: Some(*pick(&mut rng, &[500.0, 1000.0])),
-            batch_timeout_frac: None,
-            batch_timeout_cap_ms: None,
-            stage_transfer_ms: None,
-            resize_latency_ms: Some(*pick(&mut rng, &[0.0, 1.0, 20.0])),
             time_model: Some(pick(&mut rng, &space.time_models).clone()),
             threads: None,
             profile: None,

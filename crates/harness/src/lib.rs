@@ -11,12 +11,12 @@
 //!   sampling valid [`ScenarioConfig`](dilu_core::ScenarioConfig)s across the full registry
 //!   cross-product: placements × elasticity controllers × share policies ×
 //!   arrival processes (Poisson / Gamma / trace / replay) × fleet sizes ×
-//!   `[sim]` knobs × both time models.
+//!   both time models.
 //! * [`Oracle`] — a pluggable invariant check over one generated scenario.
 //!   Four ship with the crate: [`DifferentialOracle`] (event-driven vs
 //!   dense-quantum report byte-equality), [`DeterminismOracle`] (same seed
 //!   twice ⇒ identical JSON), [`ConservationOracle`] (no request is ever
-//!   created or lost), and [`CapacityOracle`] (Σ`request` ≤ Ω and
+//!   created or lost, and GPU time matches the occupancy samples), and [`CapacityOracle`] (Σ`request` ≤ Ω and
 //!   Σ`limit` ≤ Γ on every GPU at every controller tick, via the
 //!   [`ClusterSim::audit`](dilu_cluster::ClusterSim::audit) hook).
 //! * [`Harness`] — the driver: runs every oracle over every generated

@@ -11,7 +11,7 @@ use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 
 use dilu_core::{Registry, Scenario, ScenarioConfig};
-use dilu_sim::SimTime;
+use dilu_sim::{SimDuration, SimTime};
 
 /// Outcome of one oracle over one scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,7 +205,8 @@ fn run_audited(
 /// `arrived == completed + backlog + queued + in-flight` per function, all
 /// generated arrivals are eventually ingested, and the final report's
 /// counters agree with each other (timeline sums, latency sample counts,
-/// cold-start and resize bookkeeping).
+/// cold-start and resize bookkeeping, and GPU time against the
+/// once-a-second occupancy samples).
 pub struct ConservationOracle;
 
 /// Network byte ledger: bytes never appear or vanish mid-flow, so
@@ -321,6 +322,15 @@ impl Oracle for ConservationOracle {
                 // model-dependent delay, so a zero total is impossible.
                 violations.push(format!("{id}: cold starts recorded with zero total delay"));
             }
+        }
+        // GPU-time ledger: samples are one second apart, so each occupied
+        // GPU of each sample is one GPU-second.
+        let occupied: u64 = report.occupied_gpus.iter().map(|&(_, n)| u64::from(n)).sum();
+        if report.gpu_time != SimDuration::from_secs(occupied) {
+            violations.push(format!(
+                "GPU time {} != {occupied} GPU-seconds of per-second occupancy samples",
+                report.gpu_time
+            ));
         }
         if violations.is_empty() {
             Verdict::Pass

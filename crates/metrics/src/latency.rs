@@ -74,11 +74,6 @@ impl LatencyRecorder {
         self.quantile(0.95)
     }
 
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> SimDuration {
-        self.quantile(0.99)
-    }
-
     /// Arithmetic mean latency, or zero when empty.
     pub fn mean(&self) -> SimDuration {
         if self.samples.is_empty() {

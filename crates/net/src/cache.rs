@@ -73,11 +73,6 @@ impl<K: PartialEq> ModelCache<K> {
         self.used
     }
 
-    /// The byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.entries.len()

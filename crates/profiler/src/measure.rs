@@ -1,7 +1,7 @@
 //! Pre-running measurement harness: one instance, one GPU, fixed SM rate.
 
 use dilu_gpu::policies::StaticPartitionPolicy;
-use dilu_gpu::{GpuEngine, InstanceId, SlotConfig, SmRate, TaskClass, GB};
+use dilu_gpu::{GpuEngine, InstanceId, SlotConfig, SmRate, TaskClass, GB, QUANTUM};
 use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
 
@@ -49,7 +49,7 @@ pub fn measure_inference_exec(model: ModelId, batch: u32, smr: SmRate) -> SimDur
             total += c.elapsed;
             seen += 1;
         }
-        now += gpu.quantum();
+        now += QUANTUM;
     }
     if seen == 0 {
         // The grant never let a batch finish (e.g. zero SMR).
@@ -82,7 +82,7 @@ pub fn measure_training_throughput(model: ModelId, smr: SmRate, iters: u64) -> f
             break;
         }
         gpu.step(now, &mut policy);
-        now += gpu.quantum();
+        now += QUANTUM;
     }
     let Some(end) = finished_at else { return 0.0 };
     let secs = end.as_secs_f64();

@@ -50,7 +50,7 @@ proptest! {
             // 5 ms quantum; anything beyond that is a real violation.
             prop_assert!(out.total_used.as_fraction() <= 1.0 + 1e-3,
                 "physical capacity exceeded: {}", out.total_used.as_fraction());
-            now += gpu.quantum();
+            now += dilu::gpu::QUANTUM;
             if gpu.is_idle() {
                 break;
             }
