@@ -83,7 +83,7 @@ impl ClusterSim {
                 break;
             }
             self.arrival_index.pop();
-            match self.funcs.get(&id).and_then(|f| f.arrivals.front().copied()) {
+            match self.funcs.get(id).and_then(|f| f.arrivals.front().copied()) {
                 Some(head) if head < cutoff => due.push(id),
                 Some(head) => self.arrival_index.push(std::cmp::Reverse((head, id))),
                 None => {}
@@ -99,7 +99,7 @@ impl ClusterSim {
         routed.clear();
         for &id in &due {
             loop {
-                let f = self.funcs.get_mut(&id).expect("due function exists");
+                let f = self.funcs.get_mut(id).expect("due function exists");
                 while f.arrivals.front().is_some_and(|&t| t < cutoff) {
                     let arrived = f.arrivals.pop_front().expect("checked front");
                     let req = Request { id: self.next_request, arrived };
@@ -115,7 +115,7 @@ impl ClusterSim {
                     self.refill_arrivals(id);
                     let refilled_due = self
                         .funcs
-                        .get(&id)
+                        .get(id)
                         .is_some_and(|f| f.arrivals.front().is_some_and(|&t| t < cutoff));
                     if refilled_due {
                         continue;
@@ -124,7 +124,7 @@ impl ClusterSim {
                 break;
             }
             // Re-arm the index at the next head beyond this quantum.
-            if let Some(&head) = self.funcs.get(&id).and_then(|f| f.arrivals.front()) {
+            if let Some(&head) = self.funcs.get(id).and_then(|f| f.arrivals.front()) {
                 self.arrival_index.push(std::cmp::Reverse((head, id)));
             }
         }
@@ -141,10 +141,10 @@ impl ClusterSim {
         // Least-loaded ready instance; else least-loaded cold-starting one;
         // else the gateway backlog. Scans only this function's instances
         // (the per-func index), not the cluster.
-        let ids: &[InstanceUid] =
-            self.funcs.get(&func).map(|f| f.instance_ids.as_slice()).unwrap_or(&[]);
-        let instances = &self.instances;
-        let candidates = ids.iter().filter_map(|uid| instances.get(uid));
+        let Some(f) = self.funcs.get_mut(func) else {
+            return;
+        };
+        let candidates = f.instance_ids.iter().filter_map(|uid| self.instances.get(uid));
         let mut best_ready: Option<(usize, InstanceUid)> = None;
         let mut best_cold: Option<(usize, InstanceUid)> = None;
         for inst in candidates {
@@ -168,15 +168,12 @@ impl ClusterSim {
             Some(uid) => {
                 let inst = self.instances.get_mut(&uid).expect("target exists");
                 inst.pending.push_back(req);
+                f.counts.queued += 1;
                 if self.event_active {
                     self.dirty.push(uid);
                 }
             }
-            None => {
-                if let Some(f) = self.funcs.get_mut(&func) {
-                    f.backlog.push_back(req);
-                }
-            }
+            None => f.backlog.push_back(req),
         }
     }
 
@@ -188,7 +185,7 @@ impl ClusterSim {
             if !inst.state.is_ready() && !matches!(inst.state, InstanceState::Draining) {
                 continue;
             }
-            let Some(f) = self.funcs.get(&inst.func) else {
+            let Some(f) = self.funcs.get_mut(inst.func) else {
                 continue;
             };
             let FunctionKind::Inference { slo, batch } = f.spec.kind else {
@@ -213,6 +210,8 @@ impl ClusterSim {
             }
             let take = inst.pending.len().min(batch as usize);
             let requests: Vec<Request> = inst.pending.drain(..take).collect();
+            f.counts.queued -= take as u64;
+            f.counts.inflight += take as u64;
             let batch_id = self.next_batch;
             self.next_batch += 1;
             inst.inflight.push(InflightBatch { batch_id, requests, stage: 0 });
@@ -248,7 +247,7 @@ impl ClusterSim {
                 // Still cold-starting: promotion re-marks it dirty.
                 continue;
             }
-            let Some(f) = self.funcs.get(&inst.func) else {
+            let Some(f) = self.funcs.get_mut(inst.func) else {
                 continue;
             };
             let FunctionKind::Inference { slo, batch } = f.spec.kind else {
@@ -276,6 +275,8 @@ impl ClusterSim {
             let inst = self.instances.get_mut(&uid).expect("checked above");
             let take = inst.pending.len().min(batch as usize);
             requests.extend(inst.pending.drain(..take));
+            f.counts.queued -= take as u64;
+            f.counts.inflight += take as u64;
             let batch_id = self.next_batch;
             self.next_batch += 1;
             inst.inflight.push(InflightBatch { batch_id, requests, stage: 0 });
@@ -322,7 +323,7 @@ impl ClusterSim {
         let Some(inst) = self.instances.get_mut(&uid) else {
             return;
         };
-        let Some(f) = self.funcs.get(&inst.func) else {
+        let Some(f) = self.funcs.get(inst.func) else {
             return;
         };
         let profile = f.spec.model.profile();
@@ -354,7 +355,7 @@ impl ClusterSim {
         worker: usize,
         compute: bool,
     ) {
-        let Some(f) = self.funcs.get(&func) else {
+        let Some(f) = self.funcs.get(func) else {
             return;
         };
         let training = f.spec.model.profile().training;
@@ -397,7 +398,7 @@ impl ClusterSim {
             }
             self.total_blocks_sec += blocks;
             if let Some(inst) = self.instances.get(&Instance::owner_of(slot_id)) {
-                if let Some(f) = self.funcs.get_mut(&inst.func) {
+                if let Some(f) = self.funcs.get_mut(inst.func) {
                     f.sec_blocks += blocks;
                 }
             }
@@ -433,9 +434,9 @@ impl ClusterSim {
         if next_stage >= stages {
             let batch = inst.inflight.remove(pos);
             inst.last_active = at;
-            let func = inst.func;
-            let slo = self.funcs.get(&func).and_then(|f| f.spec.slo());
-            if let Some(f) = self.funcs.get_mut(&func) {
+            if let Some(f) = self.funcs.get_mut(inst.func) {
+                let slo = f.spec.slo();
+                f.counts.inflight -= batch.requests.len() as u64;
                 for req in &batch.requests {
                     let latency = at.saturating_since(req.arrived);
                     f.latency.record(latency);
@@ -465,7 +466,7 @@ impl ClusterSim {
                 let func = inst.func;
                 let bytes = self
                     .funcs
-                    .get(&func)
+                    .get(func)
                     .map_or(1, |f| f.spec.model.profile().activation_bytes(size));
                 let now = self.now;
                 let net = self.net.as_mut().expect("checked above");

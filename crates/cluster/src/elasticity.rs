@@ -1,17 +1,28 @@
 //! Elasticity execution and observability (control plane).
 //!
 //! The controller tick is the cluster's decision heartbeat: every second
-//! the control plane samples metrics,
-//! snapshots the cluster for the audit hook, builds per-function
-//! [`FunctionScaleView`]s (current and deploy-time quotas; how far they
-//! may grow is the controller's own reading of the [`ClusterView`]), and
-//! executes the [`ElasticityController`](crate::ElasticityController)'s
-//! actions — horizontal scale-out/scale-in through the
-//! [`lifecycle`](crate::lifecycle) module, and vertical
-//! [`ScaleAction::ResizeQuota`] decisions queued here behind the 1 ms
-//! apply latency, then fanned out to every live slice on the
-//! node plane. Identical on both time models (the tick runs inside the
-//! shared controller phase), which is what keeps audit content and
+//! the control plane takes the cluster-wide metrics sample, snapshots the
+//! cluster for the audit hook, and makes one pass over the function table
+//! that touches each function once, in id order: it closes the function's
+//! second of per-function series, rolls its RPS window, fills a stale
+//! capacity cache and builds its [`FunctionScaleView`] (current and
+//! deploy-time quotas; how far they may grow is the controller's own
+//! reading of the [`ClusterView`]). Instance and backlog counts come from
+//! per-function counters kept at every launch, promotion, drain,
+//! termination, route, dispatch and completion, which debug builds
+//! recount at every tick; only a function with a ready or draining
+//! instance walks its instances, for the idle time and the draining
+//! backlog.
+//!
+//! The tick then executes the
+//! [`ElasticityController`](crate::ElasticityController)'s actions —
+//! horizontal scale-out/scale-in through the [`lifecycle`](crate::lifecycle)
+//! module, each launch placed on the tick's view and patching in its own
+//! slices instead of refilling it (debug builds compare the patch with a
+//! fresh fill), and vertical [`ScaleAction::ResizeQuota`] decisions queued
+//! here behind the 1 ms apply latency, then fanned out to every live slice
+//! on the node plane. Identical on both time models (the tick runs inside
+//! the shared controller phase), which is what keeps audit content and
 //! reports byte-identical across dense and event-driven execution.
 
 use dilu_gpu::{SmRate, TaskClass, QUANTUM};
@@ -20,9 +31,10 @@ use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
 
 use crate::audit::{AuditHook, AuditSnapshot, FunctionAudit, GpuAudit};
+#[cfg(debug_assertions)]
+use crate::instance::InstanceCounts;
 use crate::lifecycle::{task_class, LaunchError};
-use crate::report::TimelinePoint;
-use crate::sim::{ClusterSim, SimEvent, RESIZE_LATENCY, TICK};
+use crate::sim::{ClusterSim, FuncState, SimEvent, RESIZE_LATENCY, TICK};
 use crate::traits::{
     ClusterView, FunctionScaleView, GpuView, QuotaView, ResidentInfo, ScaleAction,
 };
@@ -97,40 +109,21 @@ impl ClusterSim {
         let functions = self
             .funcs
             .iter()
-            .map(|(&func, f)| {
-                let mut queued = 0u64;
-                let mut inflight = 0u64;
-                let mut ready = 0u32;
-                let mut starting = 0u32;
-                let mut draining = 0u32;
-                for uid in &f.instance_ids {
-                    let Some(inst) = self.instances.get(uid) else {
-                        continue;
-                    };
-                    queued += inst.pending.len() as u64;
-                    inflight += inst.inflight.iter().map(|b| b.requests.len() as u64).sum::<u64>();
-                    match inst.state {
-                        InstanceState::Running => ready += 1,
-                        InstanceState::ColdStarting { .. } => starting += 1,
-                        InstanceState::Draining => draining += 1,
-                    }
-                }
-                FunctionAudit {
-                    func,
-                    inference: f.spec.kind.is_inference(),
-                    arrived: f.arrived,
-                    completed: f.completed,
-                    backlog: f.backlog.len() as u64,
-                    queued,
-                    inflight,
-                    pending_arrivals: f.arrivals.len() as u64,
-                    ready_instances: ready,
-                    starting_instances: starting,
-                    draining_instances: draining,
-                    cold_starts: f.cold_starts.count(),
-                    resize_grows: f.resizes.grows(),
-                    resize_shrinks: f.resizes.shrinks(),
-                }
+            .map(|f| FunctionAudit {
+                func: f.spec.id,
+                inference: f.spec.kind.is_inference(),
+                arrived: f.arrived,
+                completed: f.completed,
+                backlog: f.backlog.len() as u64,
+                queued: f.counts.queued,
+                inflight: f.counts.inflight,
+                pending_arrivals: f.arrivals.len() as u64,
+                ready_instances: f.counts.ready,
+                starting_instances: f.counts.starting,
+                draining_instances: f.counts.draining,
+                cold_starts: f.cold_starts.count(),
+                resize_grows: f.resizes.grows(),
+                resize_shrinks: f.resizes.shrinks(),
             })
             .collect();
         let network = self.net.as_ref().map(|net| crate::audit::NetAudit {
@@ -147,7 +140,7 @@ impl ClusterSim {
     /// A re-request while one is still in flight retargets the pending
     /// resize but keeps its original due time.
     pub(crate) fn request_resize(&mut self, func: FunctionId, request: SmRate, limit: SmRate) {
-        let Some(f) = self.funcs.get(&func) else {
+        let Some(f) = self.funcs.get(func) else {
             return;
         };
         let request = request.min(SmRate::FULL);
@@ -188,7 +181,7 @@ impl ClusterSim {
             }
         });
         for r in due {
-            let Some(f) = self.funcs.get_mut(&r.func) else {
+            let Some(f) = self.funcs.get_mut(r.func) else {
                 continue;
             };
             let old = f.spec.quotas;
@@ -232,7 +225,6 @@ impl ClusterSim {
     /// `GpuView` slots — and crucially their `residents` vectors — instead
     /// of reconstructing a fresh map of the whole cluster.
     pub(crate) fn fill_cluster_view(&self, view: &mut ClusterView) {
-        let per = self.spec.gpus_per_node;
         view.gpus.truncate(self.spec.total_gpus() as usize);
         for (i, addr) in self.spec.gpu_addrs().enumerate() {
             match view.gpus.get_mut(i) {
@@ -251,35 +243,47 @@ impl ClusterSim {
             }
         }
         for inst in self.instances.values() {
-            let Some(f) = self.funcs.get(&inst.func) else {
-                continue;
-            };
-            let class = task_class(f.spec.kind);
-            let per_gpu_mem = f.spec.quotas.mem_bytes;
-            for gpu in &inst.gpus {
-                let idx = (gpu.node * per + gpu.gpu) as usize;
-                // The address check rejects off-grid addresses that would
-                // otherwise alias a valid dense index, matching the old
-                // map's behaviour of skipping unknown GPUs.
-                let Some(v) = view.gpus.get_mut(idx).filter(|v| v.addr == *gpu) else {
-                    continue;
-                };
-                v.mem_reserved += per_gpu_mem;
-                v.residents.push(ResidentInfo {
-                    func: inst.func,
-                    class,
-                    request: f.spec.quotas.request,
-                    limit: f.spec.quotas.limit,
-                    mem_bytes: per_gpu_mem,
-                });
+            if let Some(f) = self.funcs.get(inst.func) {
+                self.add_to_view(view, &inst.gpus, resident(&f.spec));
             }
         }
     }
 
-    pub(crate) fn run_controller(&mut self) {
+    /// Adds one instance to `view`: `slice` and its memory on each of its
+    /// GPUs. The fill adds instances in uid order, and a new instance has
+    /// the largest uid, so a launch appending its own slices leaves the
+    /// view exactly as a fresh fill would build it.
+    pub(crate) fn add_to_view(
+        &self,
+        view: &mut ClusterView,
+        gpus: &[GpuAddr],
+        slice: ResidentInfo,
+    ) {
+        let per = self.spec.gpus_per_node;
+        for gpu in gpus {
+            let idx = (gpu.node * per + gpu.gpu) as usize;
+            // The address check rejects off-grid addresses that would
+            // otherwise alias a valid dense index, matching the old
+            // map's behaviour of skipping unknown GPUs.
+            let Some(v) = view.gpus.get_mut(idx).filter(|v| v.addr == *gpu) else {
+                continue;
+            };
+            v.mem_reserved += slice.mem_bytes;
+            v.residents.push(slice);
+        }
+    }
+
+    /// The once-a-second controller phase: the cluster-wide metrics
+    /// sample, then one pass over the function table that closes each
+    /// function's second, rolls its window and builds its view, then the
+    /// controller and its actions.
+    pub(crate) fn controller_tick(&mut self) {
+        let sampled = self.sample_cluster_metrics();
         let mut cluster =
             std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
         self.fill_cluster_view(&mut cluster);
+        #[cfg(debug_assertions)]
+        self.assert_instance_counts();
         if self.audit_hook.is_some() {
             let snapshot = self.audit_with(&cluster);
             if let Some(hook) = self.audit_hook.as_mut() {
@@ -287,62 +291,52 @@ impl ClusterSim {
             }
         }
         let now = self.now;
-        // Roll every window and fill every stale capacity cache first:
-        // the views below borrow the windows for the controller call
-        // instead of copying their samples.
-        for f in self.funcs.values_mut() {
+        let record_series = self.config.function_series;
+        let instances = &self.instances;
+        let mut views = Vec::with_capacity(self.funcs.len());
+        for f in self.funcs.iter_mut() {
+            if let Some(sec) = sampled {
+                f.close_second(sec, record_series);
+            }
             f.window.roll_to(now);
-            f.capacity.get_or_insert_with(|| {
+            let (capacity_rps, capacity_rps_at_limit) = *f.capacity.get_or_insert_with(|| {
                 (f.spec.capacity_rps(), f.spec.capacity_rps_at(f.spec.quotas.limit))
             });
-        }
-        let mut views = Vec::with_capacity(self.funcs.len());
-        let instances = &self.instances;
-        for (id, f) in &self.funcs {
+            // The view borrows the window instead of copying its samples.
+            let f: &FuncState = f;
             if !f.spec.kind.is_inference() {
                 continue;
             }
-            let (capacity_rps, capacity_rps_at_limit) =
-                f.capacity.expect("the pass above fills every capacity");
             debug_assert!(
                 capacity_rps.to_bits() == f.spec.capacity_rps().to_bits()
                     && capacity_rps_at_limit.to_bits()
                         == f.spec.capacity_rps_at(f.spec.quotas.limit).to_bits(),
-                "cached capacity of {id} is stale for its quotas {:?}",
+                "cached capacity of {} is stale for its quotas {:?}",
+                f.spec.id,
                 f.spec.quotas
             );
-            let mut ready = 0u32;
-            let mut starting = 0u32;
-            let mut backlog = f.backlog.len();
+            let counts = f.counts;
+            let mut backlog = f.backlog.len() + (counts.queued + counts.inflight) as usize;
             let mut max_idle = SimDuration::ZERO;
-            // Only this function's instances (the per-func index) — a
-            // cluster-wide scan here is O(functions × instances) per tick,
-            // which dominates everything at production fleet scale.
-            for uid in &f.instance_ids {
-                let Some(inst) = instances.get(uid) else {
-                    continue;
-                };
-                match inst.state {
-                    InstanceState::Running => {
-                        ready += 1;
-                        backlog += inst.load();
-                        if inst.load() == 0 {
+            // Idle time needs the ready instances themselves, and the
+            // backlog leaves out what draining instances still hold.
+            if counts.ready > 0 || counts.draining > 0 {
+                for inst in f.instance_ids.iter().filter_map(|uid| instances.get(uid)) {
+                    match inst.state {
+                        InstanceState::Running if inst.load() == 0 => {
                             max_idle = max_idle.max(now.saturating_since(inst.last_active));
                         }
+                        InstanceState::Draining => backlog -= inst.load(),
+                        _ => {}
                     }
-                    InstanceState::ColdStarting { .. } => {
-                        starting += 1;
-                        backlog += inst.load();
-                    }
-                    InstanceState::Draining => {}
                 }
             }
             views.push(FunctionScaleView {
-                func: *id,
+                func: f.spec.id,
                 kind: f.spec.kind,
                 rps_window: f.window.samples(),
-                ready_instances: ready,
-                starting_instances: starting,
+                ready_instances: counts.ready,
+                starting_instances: counts.starting,
                 backlog,
                 capacity_rps,
                 max_idle,
@@ -356,30 +350,32 @@ impl ClusterSim {
             });
         }
         let actions = self.controller.on_tick(now, &views, &cluster);
-        // Hand the view back before acting: launch_instance re-fills it
-        // for placement, so the buffers keep circulating.
-        self.view_scratch = cluster;
         // Shapes refused since the last successful launch. In this loop
         // only a launch changes the view (a scale-in merely marks an
-        // instance draining, a resize is only queued), so under the
-        // `Placement` contract a refused shape stays refused until one
-        // succeeds, and skipping it costs no placement call.
+        // instance draining, a resize is only queued), so a launch patches
+        // `cluster` with its own slices instead of refilling it, and under
+        // the `Placement` contract a refused shape stays refused until one
+        // succeeds, so skipping it costs no placement call.
         let mut refused: Vec<PlacementShape> = Vec::new();
         for action in actions {
             match action {
                 ScaleAction::ScaleOut { func, count } => {
-                    let Some(shape) = self.funcs.get(&func).map(|f| PlacementShape::of(&f.spec))
+                    let Some(shape) = self.funcs.get(func).map(|f| PlacementShape::of(&f.spec))
                     else {
                         continue;
                     };
                     for _ in 0..count {
                         if refused.contains(&shape) {
                             #[cfg(debug_assertions)]
-                            self.assert_still_refused(func, &shape);
+                            self.assert_still_refused(&cluster, func, &shape);
                             continue;
                         }
-                        match self.launch_instance(func, false) {
-                            Ok(_) => refused.clear(),
+                        match self.launch_on(&mut cluster, func, false) {
+                            Ok(_) => {
+                                refused.clear();
+                                #[cfg(debug_assertions)]
+                                self.assert_view_patched(&cluster);
+                            }
                             Err(LaunchError::NoPlacement) => refused.push(shape),
                             Err(LaunchError::AdmissionRejected) => {}
                         }
@@ -389,11 +385,11 @@ impl ClusterSim {
                     for _ in 0..count {
                         // Drain the most idle ready instance (scanning only
                         // this function's instances via the per-func index).
-                        let victim = self
-                            .funcs
-                            .get(&func)
-                            .map(|f| f.instance_ids.as_slice())
-                            .unwrap_or(&[])
+                        let Some(f) = self.funcs.get_mut(func) else {
+                            break;
+                        };
+                        let victim = f
+                            .instance_ids
                             .iter()
                             .filter_map(|uid| self.instances.get(uid))
                             .filter(|i| i.state.is_ready())
@@ -406,16 +402,17 @@ impl ClusterSim {
                                 )
                             })
                             .map(|i| i.uid);
-                        if let Some(uid) = victim {
-                            if let Some(inst) = self.instances.get_mut(&uid) {
-                                inst.state = InstanceState::Draining;
-                                self.draining_count += 1;
-                                if self.event_active {
-                                    // Remaining pending work may still
-                                    // dispatch while draining.
-                                    self.dirty.push(uid);
-                                }
-                            }
+                        let Some(inst) = victim.and_then(|uid| self.instances.get_mut(&uid)) else {
+                            continue;
+                        };
+                        f.counts.leave(inst.state);
+                        inst.state = InstanceState::Draining;
+                        f.counts.enter(inst.state);
+                        self.draining_count += 1;
+                        if self.event_active {
+                            // Remaining pending work may still dispatch
+                            // while draining.
+                            self.dirty.push(inst.uid);
                         }
                     }
                 }
@@ -424,17 +421,60 @@ impl ClusterSim {
                 }
             }
         }
+        self.view_scratch = cluster;
+    }
+
+    /// The counters' debug oracle: recounts every function from its
+    /// instances and panics, naming the function and the field, on drift.
+    #[cfg(debug_assertions)]
+    fn assert_instance_counts(&self) {
+        for f in self.funcs.iter() {
+            let kept = f.counts;
+            let counted = InstanceCounts::recount(
+                f.instance_ids.iter().filter_map(|uid| self.instances.get(uid)),
+            );
+            for (field, kept, counted) in [
+                ("ready", u64::from(kept.ready), u64::from(counted.ready)),
+                ("starting", u64::from(kept.starting), u64::from(counted.starting)),
+                ("draining", u64::from(kept.draining), u64::from(counted.draining)),
+                ("queued", kept.queued, counted.queued),
+                ("inflight", kept.inflight, counted.inflight),
+            ] {
+                assert_eq!(
+                    kept, counted,
+                    "the `{field}` instance counter of {} drifted from its instances",
+                    f.spec.id
+                );
+            }
+        }
+    }
+
+    /// The view patch's debug oracle: the view a tick's launches patched
+    /// must equal a fresh fill.
+    #[cfg(debug_assertions)]
+    fn assert_view_patched(&self, view: &ClusterView) {
+        let fresh = self.cluster_view();
+        assert_eq!(view.gpus.len(), fresh.gpus.len(), "the patched view lost GPUs");
+        if let Some((patched, fresh)) = view.gpus.iter().zip(&fresh.gpus).find(|(a, b)| a != b) {
+            panic!(
+                "a launch's view patch drifted from a fresh fill on {}: patched {patched:?}, \
+                 fresh {fresh:?}",
+                fresh.addr
+            );
+        }
     }
 
     /// The memo's debug oracle: re-runs the placement for a skipped
     /// scale-out of `func` and panics if it would have placed.
     #[cfg(debug_assertions)]
-    fn assert_still_refused(&mut self, func: FunctionId, shape: &PlacementShape) {
-        let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
-        self.fill_cluster_view(&mut view);
-        let spec = &self.funcs[&func].spec;
-        let placed = self.placement.place(spec, &view);
-        self.view_scratch = view;
+    fn assert_still_refused(
+        &mut self,
+        view: &ClusterView,
+        func: FunctionId,
+        shape: &PlacementShape,
+    ) {
+        let spec = &self.funcs.get(func).expect("a scaled-out function is deployed").spec;
+        let placed = self.placement.place(spec, view);
         assert!(
             placed.is_none(),
             "placement `{}` broke the `Placement` contract: it refused {shape:?} earlier in this \
@@ -444,10 +484,14 @@ impl ClusterSim {
         );
     }
 
-    pub(crate) fn sample_metrics(&mut self) {
+    /// Takes the cluster-wide per-second sample: GPU usage and occupancy,
+    /// GPU time and the cluster kernel series. Returns the sampled second,
+    /// or `None` when this second was already sampled; the caller then
+    /// closes every function's second at it.
+    pub(crate) fn sample_cluster_metrics(&mut self) -> Option<u64> {
         let sec = self.now.as_secs();
         if self.last_sampled_sec == Some(sec) {
-            return;
+            return None;
         }
         self.last_sampled_sec = Some(sec);
         // Quanta covered by this sampling window. Skipped (idle) quanta
@@ -455,8 +499,8 @@ impl ClusterSim {
         // size gives the same average whether or not they were stepped —
         // the dense stepper and the event core agree bit-for-bit.
         let window_quanta = self.sample_clock.window_quanta(self.now, QUANTUM);
-        let gpu_count = self.spec.total_gpus() as usize;
-        let mut samples = Vec::with_capacity(gpu_count);
+        let mut samples = std::mem::take(&mut self.sample_buf);
+        samples.clear();
         let mut occupied = 0u32;
         for slot in self.nodes.slots_mut() {
             let avg_used = slot.used_accum / window_quanta as f64;
@@ -479,41 +523,30 @@ impl ClusterSim {
             "node-plane occupancy counter drifted from engine state"
         );
         self.fragmentation.push(FragmentationSnapshot::from_samples(&samples));
+        self.sample_buf = samples;
         self.occupied_series.push((sec, occupied));
         self.peak_gpus = self.peak_gpus.max(occupied);
         // Samples are one second apart, so each stands for one second.
         self.gpu_seconds += f64::from(occupied) * TICK.as_secs_f64();
-        let instance_gpus: usize = self.instances.values().map(|i| i.gpus.len()).sum();
-        self.instance_gpu_seconds += instance_gpus as f64 * TICK.as_secs_f64();
+        debug_assert_eq!(
+            self.instance_gpus,
+            self.instances.values().map(|i| i.gpus.len()).sum::<usize>(),
+            "instance GPU counter drifted from the instances"
+        );
+        self.instance_gpu_seconds += self.instance_gpus as f64 * TICK.as_secs_f64();
         self.total_kernel_series.push((sec, self.total_blocks_sec));
         self.total_blocks_sec = 0;
-        // Per-function series cost O(functions × seconds) report memory;
-        // production-scale scenarios turn them off (the per-second counters
-        // still reset so aggregates stay exact either way).
-        let record_series = self.config.function_series;
-        let instances = &self.instances;
-        for f in self.funcs.values_mut() {
-            if record_series {
-                f.kernel_series.push((sec, f.sec_blocks));
-            }
-            f.sec_blocks = 0;
-            if f.spec.kind.is_inference() && record_series {
-                let ready = f
-                    .instance_ids
-                    .iter()
-                    .filter(|uid| instances.get(uid).is_some_and(|i| i.state.is_ready()))
-                    .count() as u32;
-                f.timeline.push(TimelinePoint {
-                    sec,
-                    arrivals: f.sec_arrivals,
-                    completions: f.sec_completions,
-                    violations: f.sec_violations,
-                    ready_instances: ready,
-                });
-            }
-            f.sec_arrivals = 0;
-            f.sec_completions = 0;
-            f.sec_violations = 0;
-        }
+        Some(sec)
+    }
+}
+
+/// The view entry of one slice of `spec`'s instances.
+pub(crate) fn resident(spec: &FunctionSpec) -> ResidentInfo {
+    ResidentInfo {
+        func: spec.id,
+        class: task_class(spec.kind),
+        request: spec.quotas.request,
+        limit: spec.quotas.limit,
+        mem_bytes: spec.quotas.mem_bytes,
     }
 }

@@ -81,6 +81,54 @@ pub(crate) struct Instance {
     pub deadline: Option<EventToken>,
 }
 
+/// One function's live instances, counted by state, and the requests they
+/// hold. Kept current at launch, promotion, drain, termination, routing,
+/// dispatch and completion, so the controller tick and the audit read
+/// counters instead of walking instance lists; debug builds recount every
+/// function at every tick.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct InstanceCounts {
+    pub ready: u32,
+    pub starting: u32,
+    pub draining: u32,
+    /// Requests queued on the instances, not yet batched.
+    pub queued: u64,
+    /// Requests inside the instances' dispatched batches.
+    pub inflight: u64,
+}
+
+impl InstanceCounts {
+    fn of_state(&mut self, state: InstanceState) -> &mut u32 {
+        match state {
+            InstanceState::Running => &mut self.ready,
+            InstanceState::ColdStarting { .. } => &mut self.starting,
+            InstanceState::Draining => &mut self.draining,
+        }
+    }
+
+    /// An instance entered `state`.
+    pub fn enter(&mut self, state: InstanceState) {
+        *self.of_state(state) += 1;
+    }
+
+    /// An instance left `state`.
+    pub fn leave(&mut self, state: InstanceState) {
+        *self.of_state(state) -= 1;
+    }
+
+    /// The counts taken from the instances themselves.
+    #[cfg(debug_assertions)]
+    pub fn recount<'a>(instances: impl IntoIterator<Item = &'a Instance>) -> Self {
+        let mut counts = InstanceCounts::default();
+        for inst in instances {
+            counts.enter(inst.state);
+            counts.queued += inst.pending.len() as u64;
+            counts.inflight += inst.inflight_requests() as u64;
+        }
+        counts
+    }
+}
+
 /// Pipeline stages one instance may span. Engine slot ids pack
 /// `uid × MAX_STAGES + stage`, so they stay unique per GPU; deployment
 /// rejects specs that span more.
@@ -89,7 +137,12 @@ pub(crate) const MAX_STAGES: u64 = 16;
 impl Instance {
     /// Load metric used by the least-loaded balancer.
     pub fn load(&self) -> usize {
-        self.pending.len() + self.inflight.iter().map(|b| b.requests.len()).sum::<usize>()
+        self.pending.len() + self.inflight_requests()
+    }
+
+    /// Requests inside this instance's dispatched batches.
+    pub fn inflight_requests(&self) -> usize {
+        self.inflight.iter().map(|b| b.requests.len()).sum()
     }
 
     /// Engine-level slot id for pipeline stage `stage` of this instance.

@@ -15,6 +15,7 @@ use std::collections::VecDeque;
 use dilu_gpu::{SlotConfig, TaskClass, QUANTUM};
 use dilu_sim::SimTime;
 
+use crate::elasticity::resident;
 use crate::instance::{Instance, MAX_STAGES};
 use crate::sim::{new_func_state, ArrivalStream, SimEvent, TICK};
 use crate::traits::ClusterView;
@@ -136,7 +137,7 @@ impl ClusterSim {
         process: Box<dyn dilu_workload::ArrivalProcess>,
         end: SimTime,
     ) -> Result<(), DeployError> {
-        if self.funcs.contains_key(&spec.id) {
+        if self.funcs.contains(spec.id) {
             return Err(DeployError::DuplicateFunction(spec.id));
         }
         debug_assert!(spec.kind.is_inference(), "use deploy_training for training functions");
@@ -144,7 +145,7 @@ impl ClusterSim {
         let id = spec.id;
         let mut state = new_func_state(spec);
         state.stream = Some(ArrivalStream { process, end });
-        self.funcs.insert(id, state);
+        self.funcs.insert(state);
         for _ in 0..initial {
             self.launch_instance(id, true).map_err(|_| DeployError::PlacementFailed(id))?;
         }
@@ -159,7 +160,7 @@ impl ClusterSim {
     /// [`DeployError::DuplicateFunction`] if the id is taken;
     /// [`DeployError::PlacementFailed`] if any worker cannot be placed.
     pub fn deploy_training(&mut self, spec: FunctionSpec) -> Result<(), DeployError> {
-        if self.funcs.contains_key(&spec.id) {
+        if self.funcs.contains(spec.id) {
             return Err(DeployError::DuplicateFunction(spec.id));
         }
         let FunctionKind::Training { workers, iterations } = spec.kind else {
@@ -167,7 +168,7 @@ impl ClusterSim {
         };
         self.validate_spec(&spec)?;
         let id = spec.id;
-        self.funcs.insert(id, new_func_state(spec));
+        self.funcs.insert(new_func_state(spec));
         let mut uids = Vec::new();
         for _ in 0..workers {
             match self.launch_instance(id, true) {
@@ -177,7 +178,7 @@ impl ClusterSim {
                     for uid in uids {
                         self.terminate_instance(uid);
                     }
-                    self.funcs.remove(&id);
+                    self.funcs.remove(id);
                     return Err(DeployError::PlacementFailed(id));
                 }
             }
@@ -284,7 +285,7 @@ impl ClusterSim {
             if self.deploy_training(spec.clone()).is_err() {
                 // Cluster full or duplicate: retry next second unless the
                 // function already exists.
-                if !self.funcs.contains_key(&spec.id) {
+                if !self.funcs.contains(spec.id) {
                     self.pending_training.push((at, spec));
                     if self.event_active {
                         let due = self.grid_ceil(at).max(self.now + QUANTUM);
@@ -304,6 +305,10 @@ impl ClusterSim {
         for inst in self.instances.values_mut() {
             if let InstanceState::ColdStarting { ready_at } = inst.state {
                 if now >= ready_at {
+                    if let Some(f) = self.funcs.get_mut(inst.func) {
+                        f.counts.leave(inst.state);
+                        f.counts.enter(InstanceState::Running);
+                    }
                     inst.state = InstanceState::Running;
                     inst.last_active = now;
                     became_ready.push((inst.uid, inst.func));
@@ -313,8 +318,9 @@ impl ClusterSim {
         let promoted = became_ready.len() as u64;
         // Drain gateway backlog into newly ready instances.
         for (uid, func) in became_ready {
-            if let Some(f) = self.funcs.get_mut(&func) {
+            if let Some(f) = self.funcs.get_mut(func) {
                 if let Some(inst) = self.instances.get_mut(&uid) {
+                    f.counts.queued += f.backlog.len() as u64;
                     while let Some(req) = f.backlog.pop_front() {
                         inst.pending.push_back(req);
                     }
@@ -336,14 +342,17 @@ impl ClusterSim {
             return;
         };
         debug_assert!(now >= ready_at, "promotion event fired early");
-        inst.state = InstanceState::Running;
-        inst.last_active = now;
         let func = inst.func;
-        if let Some(f) = self.funcs.get_mut(&func) {
+        if let Some(f) = self.funcs.get_mut(func) {
+            f.counts.leave(inst.state);
+            f.counts.enter(InstanceState::Running);
+            f.counts.queued += f.backlog.len() as u64;
             while let Some(req) = f.backlog.pop_front() {
                 inst.pending.push_back(req);
             }
         }
+        inst.state = InstanceState::Running;
+        inst.last_active = now;
         if !inst.pending.is_empty() {
             self.dirty.push(uid);
         }
@@ -408,7 +417,7 @@ impl ClusterSim {
                 job.iterations_done += 1;
                 let samples = self
                     .funcs
-                    .get(&func)
+                    .get(func)
                     .map(|f| u64::from(f.spec.model.profile().training.samples_per_iter))
                     .unwrap_or(0);
                 job.samples_done += samples * job.workers.len() as u64;
@@ -464,17 +473,19 @@ impl ClusterSim {
         if matches!(inst.state, InstanceState::Draining) {
             self.draining_count = self.draining_count.saturating_sub(1);
         }
+        self.instance_gpus -= inst.gpus.len();
         self.dirty.retain(|&d| d != uid);
         // The deadline record left the map with the instance; cancel its
         // event token so the queue does not fire a stale wake.
         if let Some(token) = inst.deadline {
             self.events.cancel(token);
         }
-        if let Some(f) = self.funcs.get_mut(&inst.func) {
+        if let Some(f) = self.funcs.get_mut(inst.func) {
             f.instance_ids.retain(|&i| i != uid);
-        }
-        // Requeue any stranded requests at the gateway.
-        if let Some(f) = self.funcs.get_mut(&inst.func) {
+            f.counts.leave(inst.state);
+            f.counts.queued -= inst.pending.len() as u64;
+            f.counts.inflight -= inst.inflight_requests() as u64;
+            // Requeue any stranded requests at the gateway.
             for req in inst.pending.iter() {
                 f.backlog.push_back(*req);
             }
@@ -495,23 +506,36 @@ impl ClusterSim {
         func: FunctionId,
         prewarmed: bool,
     ) -> Result<InstanceUid, LaunchError> {
-        let spec = self.funcs.get(&func).expect("launch of an undeployed function").spec.clone();
         let mut view = std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
         self.fill_cluster_view(&mut view);
-        let placed = self.placement.place(&spec, &view);
+        let launched = self.launch_on(&mut view, func, prewarmed);
         self.view_scratch = view;
-        let gpus = placed.ok_or(LaunchError::NoPlacement)?;
+        launched
+    }
+
+    /// [`launch_instance`](Self::launch_instance) placed on `view`, the
+    /// current placement view, which a successful launch patches with the
+    /// new instance's slices.
+    pub(crate) fn launch_on(
+        &mut self,
+        view: &mut ClusterView,
+        func: FunctionId,
+        prewarmed: bool,
+    ) -> Result<InstanceUid, LaunchError> {
+        let f = self.funcs.get(func).expect("launch of an undeployed function");
+        let (model, stages, slice) = (f.spec.model, f.spec.gpus_per_instance, resident(&f.spec));
+        let gpus = self.placement.place(&f.spec, view).ok_or(LaunchError::NoPlacement)?;
         // Every address enters the node plane here, and the plane indexes
         // GPUs densely: an off-grid `gpu` would alias another node's card.
         let grid = self.spec;
         assert!(
-            gpus.len() as u32 == spec.gpus_per_instance
+            gpus.len() as u32 == stages
                 && gpus.iter().all(|g| g.node < grid.nodes && g.gpu < grid.gpus_per_node),
             "placement `{}` returned {gpus:?} for `{}`, which needs exactly {} GPU(s) on the \
              {} x {} grid",
             self.placement.name(),
-            spec.name,
-            spec.gpus_per_instance,
+            f.spec.name,
+            stages,
             grid.nodes,
             grid.gpus_per_node,
         );
@@ -529,10 +553,10 @@ impl ClusterSim {
             deadline: None,
         };
         let cfg = SlotConfig {
-            class: task_class(spec.kind),
-            request: spec.quotas.request,
-            limit: spec.quotas.limit,
-            mem_bytes: spec.quotas.mem_bytes,
+            class: slice.class,
+            request: slice.request,
+            limit: slice.limit,
+            mem_bytes: slice.mem_bytes,
         };
         for (stage, gpu) in inst.gpus.iter().enumerate() {
             let slot = inst.slot_id(stage);
@@ -556,16 +580,16 @@ impl ClusterSim {
             // Prewarming ships the weights ahead of time, so the node
             // cache holds the model from here on.
             if let Some(net) = self.net.as_mut() {
-                net.caches[node].insert(spec.model, spec.model.profile().param_bytes);
+                net.caches[node].insert(model, model.profile().param_bytes);
             }
             InstanceState::Running
         } else if self.net.is_some() {
             let net = self.net.as_mut().expect("checked above");
             let provision = net.cfg.provision;
-            if net.caches[node].contains(&spec.model) {
+            if net.caches[node].contains(&model) {
                 // Weights already on the node: only the provision residue
                 // (container/runtime setup) stands between us and Running.
-                if let Some(f) = self.funcs.get_mut(&func) {
+                if let Some(f) = self.funcs.get_mut(func) {
                     f.cold_starts.record_cached(provision);
                 }
                 let ready_at = self.now + provision;
@@ -584,20 +608,15 @@ impl ClusterSim {
                 net.plane.start_fetch(
                     self.now,
                     node,
-                    spec.model.profile().param_bytes,
-                    crate::netplane::NetPayload::Fetch {
-                        uid,
-                        func,
-                        model: spec.model,
-                        launched: self.now,
-                    },
+                    model.profile().param_bytes,
+                    crate::netplane::NetPayload::Fetch { uid, func, model, launched: self.now },
                 );
                 self.sync_net_events();
                 InstanceState::ColdStarting { ready_at: SimTime::MAX }
             }
         } else {
-            let delay = cold_start_duration(spec.model);
-            if let Some(f) = self.funcs.get_mut(&func) {
+            let delay = cold_start_duration(model);
+            if let Some(f) = self.funcs.get_mut(func) {
                 f.cold_starts.record(delay);
             }
             let ready_at = self.now + delay;
@@ -609,9 +628,12 @@ impl ClusterSim {
             }
             InstanceState::ColdStarting { ready_at }
         };
-        if let Some(f) = self.funcs.get_mut(&func) {
+        if let Some(f) = self.funcs.get_mut(func) {
             f.instance_ids.push(uid);
+            f.counts.enter(inst.state);
         }
+        self.instance_gpus += inst.gpus.len();
+        self.add_to_view(view, &inst.gpus, slice);
         self.instances.insert(uid, inst);
         Ok(uid)
     }

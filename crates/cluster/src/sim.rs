@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use dilu_gpu::{SmRate, QUANTUM};
 use dilu_metrics::{
-    ColdStartCounter, FragmentationStats, LatencyRecorder, PhaseProfile, PhaseProfiler, RateWindow,
-    ResizeCounter, SampleClock, SimPhase,
+    ColdStartCounter, FragmentationStats, GpuUsageSample, LatencyRecorder, PhaseProfile,
+    PhaseProfiler, RateWindow, ResizeCounter, SampleClock, SimPhase,
 };
 
 use dilu_sim::{EventQueue, SimDuration, SimTime};
@@ -41,7 +41,7 @@ use dilu_sim::{EventQueue, SimDuration, SimTime};
 use crate::audit::AuditHook;
 use crate::dispatch::TagSlab;
 use crate::elasticity::PendingResize;
-use crate::instance::{Instance, Request};
+use crate::instance::{Instance, InstanceCounts, Request};
 use crate::lifecycle::TrainingJob;
 use crate::nodes::NodePlane;
 use crate::report::{ClusterReport, FunctionReport, TimelinePoint, TrainingReport};
@@ -310,6 +310,123 @@ pub(crate) struct FuncState {
     pub(crate) sec_violations: u64,
     pub(crate) sec_blocks: u64,
     pub(crate) kernel_series: Vec<(u64, u64)>,
+    /// This function's live instances by state, and the requests they hold.
+    pub(crate) counts: InstanceCounts,
+}
+
+impl FuncState {
+    /// Closes second `sec` of this function's series (when recorded) and
+    /// resets its per-second counters, so aggregates stay exact either way.
+    pub(crate) fn close_second(&mut self, sec: u64, record_series: bool) {
+        if record_series {
+            self.kernel_series.push((sec, self.sec_blocks));
+            if self.spec.kind.is_inference() {
+                self.timeline.push(TimelinePoint {
+                    sec,
+                    arrivals: self.sec_arrivals,
+                    completions: self.sec_completions,
+                    violations: self.sec_violations,
+                    ready_instances: self.counts.ready,
+                });
+            }
+        }
+        self.sec_blocks = 0;
+        self.sec_arrivals = 0;
+        self.sec_completions = 0;
+        self.sec_violations = 0;
+    }
+}
+
+/// Every deployed function's state, looked up by id and walked in id order.
+///
+/// The states sit in one `Vec` in deploy order, and `index` holds
+/// `(id, position)` pairs sorted by id: a lookup is a binary search over
+/// that dense column, and a deploy out of id order shifts 8-byte index
+/// entries, never `FuncState`s. [`iter_mut`](Self::iter_mut) first settles
+/// the states into id order (a no-op once they are), so the per-tick pass
+/// walks contiguous memory.
+#[derive(Default)]
+pub(crate) struct FuncTable {
+    states: Vec<FuncState>,
+    index: Vec<(FunctionId, u32)>,
+    /// `true` while `states` is in id order, i.e. `index[k].1 == k`.
+    settled: bool,
+}
+
+impl FuncTable {
+    pub(crate) fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    fn position(&self, id: FunctionId) -> Option<usize> {
+        let k = self.index.binary_search_by_key(&id, |&(i, _)| i).ok()?;
+        Some(self.index[k].1 as usize)
+    }
+
+    pub(crate) fn contains(&self, id: FunctionId) -> bool {
+        self.position(id).is_some()
+    }
+
+    pub(crate) fn get(&self, id: FunctionId) -> Option<&FuncState> {
+        self.position(id).map(|p| &self.states[p])
+    }
+
+    pub(crate) fn get_mut(&mut self, id: FunctionId) -> Option<&mut FuncState> {
+        self.position(id).map(|p| &mut self.states[p])
+    }
+
+    /// Adds a function whose id is not deployed yet.
+    pub(crate) fn insert(&mut self, state: FuncState) {
+        let id = state.spec.id;
+        let k = self.index.partition_point(|&(i, _)| i < id);
+        debug_assert!(self.index.get(k).is_none_or(|&(i, _)| i != id), "{id} is deployed twice");
+        self.settled = self.states.is_empty() || (self.settled && k == self.index.len());
+        let at = u32::try_from(self.states.len()).expect("fewer than 2^32 functions");
+        self.index.insert(k, (id, at));
+        self.states.push(state);
+    }
+
+    /// Removes a function (a deploy rolled back).
+    pub(crate) fn remove(&mut self, id: FunctionId) {
+        let Ok(k) = self.index.binary_search_by_key(&id, |&(i, _)| i) else {
+            return;
+        };
+        let (_, at) = self.index.remove(k);
+        self.states.swap_remove(at as usize);
+        if let Some(moved) = self.states.get(at as usize).map(|f| f.spec.id) {
+            let j = self.index.binary_search_by_key(&moved, |&(i, _)| i).expect("indexed");
+            self.index[j].1 = at;
+            self.settled = false;
+        }
+    }
+
+    /// The states in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FuncState> {
+        self.index.iter().map(|&(_, p)| &self.states[p as usize])
+    }
+
+    /// The states in id order, mutably.
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, FuncState> {
+        self.settle();
+        self.states.iter_mut()
+    }
+
+    /// The states in id order, by value.
+    pub(crate) fn into_states(mut self) -> Vec<FuncState> {
+        self.settle();
+        self.states
+    }
+
+    fn settle(&mut self) {
+        if self.settled {
+            return;
+        }
+        self.states.sort_unstable_by_key(|f| f.spec.id);
+        for (k, entry) in self.index.iter_mut().enumerate() {
+            entry.1 = k as u32;
+        }
+        self.settled = true;
+    }
 }
 
 /// The serving-plane simulator. See the [crate docs](crate) for the model.
@@ -325,7 +442,7 @@ pub struct ClusterSim {
     pub(crate) nodes: NodePlane,
     /// The network plane (flows + per-node model caches), when configured.
     pub(crate) net: Option<crate::netplane::NetState>,
-    pub(crate) funcs: BTreeMap<FunctionId, FuncState>,
+    pub(crate) funcs: FuncTable,
     pub(crate) instances: BTreeMap<InstanceUid, Instance>,
     pub(crate) jobs: BTreeMap<FunctionId, TrainingJob>,
     pub(crate) placement: Box<dyn Placement>,
@@ -395,6 +512,11 @@ pub struct ClusterSim {
     /// Reused controller/placement view: refilled in place each tick so
     /// the per-GPU `residents` vectors amortise to zero allocations.
     pub(crate) view_scratch: ClusterView,
+    /// Reused per-second GPU usage samples.
+    pub(crate) sample_buf: Vec<GpuUsageSample>,
+    /// GPUs held by live instances (one per pipeline stage), kept at
+    /// launch and termination.
+    pub(crate) instance_gpus: usize,
     pub(crate) fragmentation: FragmentationStats,
     pub(crate) occupied_series: Vec<(u64, u32)>,
     pub(crate) total_blocks_sec: u64,
@@ -442,7 +564,7 @@ impl ClusterSim {
             } else {
                 PhaseProfiler::disabled()
             },
-            funcs: BTreeMap::new(),
+            funcs: FuncTable::default(),
             instances: BTreeMap::new(),
             jobs: BTreeMap::new(),
             placement,
@@ -475,6 +597,8 @@ impl ClusterSim {
             wake_ready_buf: Vec::new(),
             wake_expired_buf: Vec::new(),
             view_scratch: ClusterView { gpus: Vec::new() },
+            sample_buf: Vec::new(),
+            instance_gpus: 0,
             fragmentation: FragmentationStats::new(),
             occupied_series: Vec::new(),
             total_blocks_sec: 0,
@@ -554,14 +678,14 @@ impl ClusterSim {
     pub fn arrival_schedule(&self) -> Vec<(FunctionId, Vec<SimTime>)> {
         self.funcs
             .iter()
-            .filter(|(_, f)| f.spec.kind.is_inference())
-            .map(|(&id, f)| (id, f.arrivals.iter().copied().collect()))
+            .filter(|f| f.spec.kind.is_inference())
+            .map(|f| (f.spec.id, f.arrivals.iter().copied().collect()))
             .collect()
     }
 
     /// Number of ready (serving) instances of a function.
     pub fn ready_instances(&self, func: FunctionId) -> u32 {
-        self.instances.values().filter(|i| i.func == func && i.state.is_ready()).count() as u32
+        self.funcs.get(func).map_or(0, |f| f.counts.ready)
     }
 
     /// Number of currently occupied GPUs: those hosting at least one
@@ -733,7 +857,7 @@ impl ClusterSim {
     /// surface; exhausted functions' entries are dropped).
     pub fn next_pending_arrival(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, id))) = self.arrival_index.peek() {
-            match self.funcs.get(&id).and_then(|f| f.arrivals.front().copied()) {
+            match self.funcs.get(id).and_then(|f| f.arrivals.front().copied()) {
                 Some(head) if head == t => return Some(t),
                 Some(head) => {
                     debug_assert!(head > t, "pending-arrival heads only advance");
@@ -756,8 +880,8 @@ impl ClusterSim {
         let empty: Vec<FunctionId> = self
             .funcs
             .iter()
-            .filter(|(_, f)| f.stream.is_some() && f.arrivals.is_empty())
-            .map(|(&id, _)| id)
+            .filter(|f| f.stream.is_some() && f.arrivals.is_empty())
+            .map(|f| f.spec.id)
             .collect();
         for id in empty {
             self.refill_arrivals(id);
@@ -772,7 +896,7 @@ impl ClusterSim {
     pub(crate) fn refill_arrivals(&mut self, id: FunctionId) {
         let mut chunk = std::mem::take(&mut self.refill_buf);
         chunk.clear();
-        let Some(f) = self.funcs.get_mut(&id) else {
+        let Some(f) = self.funcs.get_mut(id) else {
             self.refill_buf = chunk;
             return;
         };
@@ -943,8 +1067,7 @@ impl ClusterSim {
         }
         if controller {
             let pt = self.profiler.start();
-            self.sample_metrics();
-            self.run_controller();
+            self.controller_tick();
             self.next_sample_at += TICK;
             self.schedule_controller_tick(self.now + QUANTUM);
             self.profiler.record(SimPhase::Tick, pt, 1);
@@ -1002,8 +1125,7 @@ impl ClusterSim {
         self.profiler.record(SimPhase::Reap, pt, reaped);
         if self.now + QUANTUM >= self.next_sample_at {
             let pt = self.profiler.start();
-            self.sample_metrics();
-            self.run_controller();
+            self.controller_tick();
             self.next_sample_at += TICK;
             self.profiler.record(SimPhase::Tick, pt, 1);
         }
@@ -1034,7 +1156,12 @@ impl ClusterSim {
     /// Consumes the simulator and produces the final report.
     pub fn into_report(mut self) -> ClusterReport {
         // Flush the final partial second.
-        self.sample_metrics();
+        if let Some(sec) = self.sample_cluster_metrics() {
+            let record_series = self.config.function_series;
+            for f in self.funcs.iter_mut() {
+                f.close_second(sec, record_series);
+            }
+        }
         let horizon = self.now;
         let mut report = ClusterReport {
             horizon,
@@ -1046,7 +1173,8 @@ impl ClusterSim {
             total_kernel_series: self.total_kernel_series,
             ..ClusterReport::default()
         };
-        for (id, f) in self.funcs {
+        for f in self.funcs.into_states() {
+            let id = f.spec.id;
             match f.spec.kind {
                 FunctionKind::Inference { slo, .. } => {
                     report.kernel_series.insert(id, f.kernel_series.clone());
@@ -1110,5 +1238,6 @@ pub(crate) fn new_func_state(spec: FunctionSpec) -> FuncState {
         sec_violations: 0,
         sec_blocks: 0,
         kernel_series: Vec::new(),
+        counts: InstanceCounts::default(),
     }
 }

@@ -22,7 +22,7 @@ pub struct ResidentInfo {
 }
 
 /// One GPU's allocation state as seen by the placement policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuView {
     /// The GPU's address.
     pub addr: GpuAddr,

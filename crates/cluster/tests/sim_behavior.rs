@@ -645,3 +645,164 @@ fn report_contains_fragmentation_and_occupancy_series() {
     // 100% SM — static exclusive occupancy shows up as fragmentation.
     assert!(report.fragmentation.mean_sm_fragmentation() > 0.3);
 }
+
+/// Emits each action at the first tick at or after its second.
+struct Script(Vec<(u64, ScaleAction)>);
+
+impl ElasticityController for Script {
+    fn on_tick(
+        &mut self,
+        now: SimTime,
+        _functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
+        let (due, later) = self.0.iter().partition(|&&(sec, _)| now >= SimTime::from_secs(sec));
+        self.0 = later;
+        due.into_iter().map(|(_, action)| action).collect::<Vec<_>>()
+    }
+
+    fn name(&self) -> &str {
+        "script"
+    }
+}
+
+/// Pins the per-function instance counters through one instance's whole
+/// life on both time models: `ready_instances` and the audit's state
+/// counts read them, not the instance list.
+#[test]
+fn ready_instances_follow_launch_promote_drain_terminate() {
+    let spec = bert_with_memory(1, 5);
+    let func = spec.id;
+    let cold_start = cold_start_duration(spec.model);
+    assert!(cold_start < SimDuration::from_secs(3), "BERT-base promotes before t = 5 s");
+    for time_model in [TimeModel::EventDriven, TimeModel::DenseQuantum] {
+        let script = Script(vec![
+            (1, ScaleAction::ScaleOut { func, count: 1 }),
+            (6, ScaleAction::ScaleIn { func, count: 1 }),
+        ]);
+        let mut sim = ClusterSim::new(
+            ClusterSpec::single_node(1),
+            SimConfig { time_model, ..SimConfig::default() },
+            Box::new(FirstFit),
+            Box::new(script),
+            &fair_factory(),
+        );
+        sim.deploy_inference(spec.clone(), 0, idle(), SimTime::MAX).unwrap();
+        let states = |sim: &ClusterSim| {
+            let audit = sim.audit();
+            let f = audit.functions.iter().find(|f| f.func == func).expect("fn-1 audited");
+            (sim.ready_instances(func), f.starting_instances, f.draining_instances)
+        };
+        assert_eq!(states(&sim), (0, 0, 0), "{time_model:?}: deployed with no instance");
+        // The scale-out lands at the 1.995 s tick.
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(states(&sim), (0, 1, 0), "{time_model:?}: launched, cold-starting");
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(states(&sim), (1, 0, 0), "{time_model:?}: promoted");
+        // The scale-in lands at the 6.995 s tick; the idle instance is
+        // reaped at the next quantum.
+        sim.run_until(SimTime::from_secs(7));
+        assert_eq!(states(&sim), (0, 0, 1), "{time_model:?}: draining");
+        sim.run_until(SimTime::from_secs(8));
+        assert_eq!(states(&sim), (0, 0, 0), "{time_model:?}: terminated");
+        assert_eq!(sim.occupied_gpus(), 0, "{time_model:?}: the GPU is free again");
+    }
+}
+
+/// Scales a function out when work waits and nothing serves it, grows
+/// the quotas of a backed-up function, and scales in after 3 s idle.
+struct Reactive;
+
+impl ElasticityController for Reactive {
+    fn on_tick(
+        &mut self,
+        _now: SimTime,
+        functions: &[FunctionScaleView],
+        _cluster: &ClusterView,
+    ) -> Vec<ScaleAction> {
+        let grown = SmRate::from_percent(50.0);
+        functions
+            .iter()
+            .filter_map(|f| {
+                if f.backlog > 0 && f.ready_instances + f.starting_instances == 0 {
+                    Some(ScaleAction::ScaleOut { func: f.func, count: 1 })
+                } else if f.backlog >= 4 && f.quota.request < grown {
+                    Some(ScaleAction::ResizeQuota { func: f.func, request: grown, limit: grown })
+                } else if f.ready_instances > 0 && f.max_idle >= SimDuration::from_secs(3) {
+                    Some(ScaleAction::ScaleIn { func: f.func, count: 1 })
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    fn name(&self) -> &str {
+        "reactive"
+    }
+}
+
+/// The function table answers lookups and walks in id order whatever
+/// order the functions were deployed in: ascending, descending or
+/// shuffled deploys give byte-identical reports on both time models. A
+/// training job deployed mid-run under the smallest id lands out of order
+/// in every case.
+#[test]
+fn deploy_order_does_not_change_the_report() {
+    let ascending: Vec<u32> = (1..=12).collect();
+    let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+    let shuffled = vec![7, 2, 11, 5, 12, 1, 9, 4, 10, 3, 8, 6];
+    let run = |order: &[u32], time_model: TimeModel| {
+        let mut sim = ClusterSim::new(
+            ClusterSpec::single_node(1),
+            SimConfig { time_model, ..SimConfig::default() },
+            Box::new(FirstFit),
+            Box::new(Reactive),
+            &fair_factory(),
+        );
+        // 9 GB each: four instances fit the 40 GB GPU, so most
+        // scale-outs are refused, and 4 GB stay free for the trainer.
+        for &id in order {
+            let arrivals = Box::new(PoissonProcess::new(3.0, u64::from(id)));
+            sim.deploy_inference(bert_with_memory(id, 9), 0, arrivals, SimTime::from_secs(15))
+                .unwrap();
+        }
+        let model = ModelId::BertBase;
+        let train = FunctionSpec {
+            id: FunctionId(0),
+            name: "train".into(),
+            model,
+            kind: FunctionKind::Training { workers: 1, iterations: 40 },
+            quotas: Quotas::equal(SmRate::from_percent(30.0), 4 * dilu_gpu::GB),
+            gpus_per_instance: 1,
+        };
+        sim.schedule_training(train, SimTime::from_secs(3)).unwrap();
+        sim.run_until(SimTime::from_secs(20));
+        sim.into_report()
+    };
+    let report_json = |order: &[u32], time_model: TimeModel| {
+        serde_json::to_string(&run(order, time_model)).expect("reports serialize")
+    };
+    let report = run(&ascending, TimeModel::EventDriven);
+    let sum = |count: fn(&dilu_cluster::FunctionReport) -> u64| {
+        report.inference.values().map(count).sum::<u64>()
+    };
+    // The run churns: scale-ins make room for more cold starts than the
+    // GPU holds instances, resizes apply, and the trainer finishes.
+    assert!(sum(|f| f.cold_starts.count()) > 4, "too few cold starts to churn");
+    assert!(sum(|f| f.resizes.total()) > 0, "no resize applied");
+    assert_eq!(report.training[&FunctionId(0)].iterations_done, 40);
+    let reference = serde_json::to_string(&report).expect("reports serialize");
+    for time_model in [TimeModel::EventDriven, TimeModel::DenseQuantum] {
+        for (name, order) in [("ascending", &ascending), ("descending", &descending)] {
+            assert!(
+                report_json(order, time_model) == reference,
+                "{name} deploys on {time_model:?} changed the report"
+            );
+        }
+        assert!(
+            report_json(&shuffled, time_model) == reference,
+            "shuffled deploys on {time_model:?} changed the report"
+        );
+    }
+}

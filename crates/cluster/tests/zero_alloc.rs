@@ -203,20 +203,34 @@ impl ElasticityController for ScaleOutEveryTick {
     }
 }
 
+/// The fleet a [`fleet_window_allocs`] run serves.
+#[derive(Clone, Copy, PartialEq)]
+enum Fleet {
+    /// No instances, and a controller that asks for none.
+    Idle,
+    /// A resident first takes all of the GPU's memory, and the controller
+    /// asks every tick for one more instance of every fleet function, none
+    /// of which can be placed.
+    Doomed,
+    /// Every fleet function holds one running instance, so each tick reads
+    /// the function's instance counters and walks its instance for the
+    /// idle time.
+    Live,
+}
+
 /// Allocations over [`FLEET_TICKS`] warm controller ticks of a 1-GPU
 /// cluster serving a fleet of `functions` same-shape inference functions
-/// with no instances, no arrivals and no per-function series, so a tick
-/// has no per-function work beyond building each function's scale view.
-///
-/// With `doomed`, a resident first takes all of the GPU's memory and the
-/// controller asks every tick for one more instance of every fleet
-/// function, none of which can be placed.
-fn fleet_window_allocs(functions: u32, doomed: bool) -> u64 {
+/// with no arrivals and no per-function series, so a tick has no
+/// per-function work beyond building each function's scale view.
+fn fleet_window_allocs(functions: u32, fleet_kind: Fleet) -> u64 {
     let config = SimConfig { function_series: false, ..SimConfig::default() };
     let cluster = ClusterSpec::single_node(1);
     let fleet: Vec<FunctionId> = (1..=functions).map(FunctionId).collect();
-    let controller: Box<dyn ElasticityController> =
-        if doomed { Box::new(ScaleOutEveryTick(fleet.clone())) } else { Box::new(NullScaler) };
+    let controller: Box<dyn ElasticityController> = if fleet_kind == Fleet::Doomed {
+        Box::new(ScaleOutEveryTick(fleet.clone()))
+    } else {
+        Box::new(NullScaler)
+    };
     let mut sim = ClusterSim::new(cluster, config, Box::new(FirstFit), controller, &fair_factory());
     let model = ModelId::BertBase;
     let profile = model.profile();
@@ -229,12 +243,17 @@ fn fleet_window_allocs(functions: u32, doomed: bool) -> u64 {
         quotas: Quotas::new(sat, sat.scale(2.0), mem_bytes),
         gpus_per_instance: 1,
     };
-    if doomed {
+    if fleet_kind == Fleet::Doomed {
         sim.deploy_inference(spec(FunctionId(0), cluster.gpu_mem_bytes), 1, idle(), SimTime::MAX)
             .unwrap();
     }
+    // A live fleet of up to 1,024 instances shares the one GPU.
+    let (mem_bytes, initial) = match fleet_kind {
+        Fleet::Live => (cluster.gpu_mem_bytes / 1024, 1),
+        Fleet::Idle | Fleet::Doomed => (profile.infer_mem_bytes, 0),
+    };
     for &id in &fleet {
-        sim.deploy_inference(spec(id, profile.infer_mem_bytes), 0, idle(), SimTime::MAX).unwrap();
+        sim.deploy_inference(spec(id, mem_bytes), initial, idle(), SimTime::MAX).unwrap();
     }
     // The 40-sample rate windows are full after 40 ticks.
     sim.run_until(SimTime::from_secs(45));
@@ -246,8 +265,8 @@ fn fleet_window_allocs(functions: u32, doomed: bool) -> u64 {
 #[test]
 fn controller_ticks_allocate_independently_of_fleet_size() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let small = fleet_window_allocs(10, false);
-    let large = fleet_window_allocs(1_000, false);
+    let small = fleet_window_allocs(10, Fleet::Idle);
+    let large = fleet_window_allocs(1_000, Fleet::Idle);
     // A per-function copy of each rate window would cost ~1,000
     // allocations per tick here.
     assert!(
@@ -260,13 +279,25 @@ fn controller_ticks_allocate_independently_of_fleet_size() {
 #[test]
 fn doomed_scale_outs_allocate_independently_of_fleet_size() {
     let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
-    let small = fleet_window_allocs(10, true);
-    let large = fleet_window_allocs(1_000, true);
+    let small = fleet_window_allocs(10, Fleet::Doomed);
+    let large = fleet_window_allocs(1_000, Fleet::Doomed);
     // Cloning each doomed function's spec (its name) would cost ~1,000
     // allocations per tick here.
     assert!(
         large <= small + 2 * FLEET_TICKS,
         "1,000 doomed scale-outs per tick allocated {large} times over {FLEET_TICKS} ticks, \
          10 per tick {small}"
+    );
+}
+
+#[test]
+fn live_instance_ticks_allocate_independently_of_fleet_size() {
+    let _serial = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let small = fleet_window_allocs(10, Fleet::Live);
+    let large = fleet_window_allocs(1_000, Fleet::Live);
+    assert!(
+        large <= small + 2 * FLEET_TICKS,
+        "1,000 functions with a running instance each allocated {large} times over \
+         {FLEET_TICKS} ticks, 10 such functions {small}"
     );
 }

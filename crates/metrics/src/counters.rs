@@ -99,10 +99,19 @@ impl ColdStartCounter {
     }
 }
 
+/// Rolls of a full [`RateWindow`] between two compactions of its buffer.
+const ROLL_SLACK: usize = 8;
+
 /// A sliding window of per-second request counts.
 ///
 /// Dilu's global scaler (§3.4.2) keeps a 40 s window of RPS values and scales
 /// out when at least φ_out of them exceed deployed capacity.
+///
+/// Closing a second never shifts the whole window: the samples are the tail
+/// of one buffer of eight more slots than the capacity, allocated up front,
+/// so a roll appends and moves the start forward, and only every eighth
+/// roll of a full window copies the live samples back to the front.
+/// [`samples`](Self::samples) stays one contiguous, oldest-first slice.
 ///
 /// # Examples
 ///
@@ -117,11 +126,14 @@ impl ColdStartCounter {
 /// w.roll_to(SimTime::from_secs(2));
 /// assert_eq!(w.samples(), [2, 1]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RateWindow {
     capacity: usize,
-    /// Closed per-second counts, oldest first.
-    closed: Vec<u64>,
+    /// `buf[start..]` holds the closed per-second counts, oldest first, at
+    /// most `capacity` of them; `buf` never grows past
+    /// `capacity + ROLL_SLACK`.
+    buf: Vec<u64>,
+    start: usize,
     current_second: u64,
     current_count: u64,
 }
@@ -134,7 +146,13 @@ impl RateWindow {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
-        RateWindow { capacity, closed: Vec::new(), current_second: 0, current_count: 0 }
+        RateWindow {
+            capacity,
+            buf: Vec::with_capacity(capacity + ROLL_SLACK),
+            start: 0,
+            current_second: 0,
+            current_count: 0,
+        }
     }
 
     /// Records one request arriving at `now`.
@@ -156,38 +174,44 @@ impl RateWindow {
     }
 
     fn push_closed(&mut self, count: u64) {
-        if self.closed.len() == self.capacity {
-            self.closed.remove(0);
+        if self.buf.len() - self.start == self.capacity {
+            self.start += 1;
         }
-        self.closed.push(count);
+        if self.buf.len() == self.capacity + ROLL_SLACK {
+            self.buf.copy_within(self.start.., 0);
+            self.buf.truncate(self.buf.len() - self.start);
+            self.start = 0;
+        }
+        self.buf.push(count);
     }
 
     /// The closed per-second samples, oldest first.
     pub fn samples(&self) -> &[u64] {
-        &self.closed
+        &self.buf[self.start..]
     }
 
     /// How many closed samples exceed `threshold`.
     pub fn count_above(&self, threshold: f64) -> usize {
-        self.closed.iter().filter(|&&c| c as f64 > threshold).count()
+        self.samples().iter().filter(|&&c| c as f64 > threshold).count()
     }
 
     /// How many closed samples are strictly below `threshold`.
     pub fn count_below(&self, threshold: f64) -> usize {
-        self.closed.iter().filter(|&&c| (c as f64) < threshold).count()
+        self.samples().iter().filter(|&&c| (c as f64) < threshold).count()
     }
 
     /// `true` once the window holds `capacity` closed samples.
     pub fn is_full(&self) -> bool {
-        self.closed.len() == self.capacity
+        self.samples().len() == self.capacity
     }
 
     /// Mean of the closed samples, or zero when none have closed.
     pub fn mean(&self) -> f64 {
-        if self.closed.is_empty() {
+        let samples = self.samples();
+        if samples.is_empty() {
             0.0
         } else {
-            self.closed.iter().sum::<u64>() as f64 / self.closed.len() as f64
+            samples.iter().sum::<u64>() as f64 / samples.len() as f64
         }
     }
 }
@@ -409,6 +433,78 @@ mod tests {
         w.observe(SimTime::from_millis(500_500));
         w.roll_to(SimTime::from_secs(501));
         assert_eq!(w.samples(), [0, 0, 1]);
+    }
+
+    /// The window as first written: a `Vec` that shifts out its oldest
+    /// sample with `remove(0)` on every full roll.
+    struct ShiftingWindow {
+        capacity: usize,
+        closed: Vec<u64>,
+        second: u64,
+        count: u64,
+    }
+
+    impl ShiftingWindow {
+        fn roll_to(&mut self, sec: u64) {
+            while self.second < sec {
+                if self.closed.len() == self.capacity {
+                    self.closed.remove(0);
+                }
+                self.closed.push(self.count);
+                self.count = 0;
+                self.second += 1;
+            }
+        }
+
+        fn mean(&self) -> f64 {
+            if self.closed.is_empty() {
+                0.0
+            } else {
+                self.closed.iter().sum::<u64>() as f64 / self.closed.len() as f64
+            }
+        }
+    }
+
+    #[test]
+    fn rate_window_matches_a_shifting_reference() {
+        // splitmix64: a fixed, dependency-free stream of draws.
+        let mut state = 0x5eed_u64;
+        let mut draw = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for capacity in [1usize, 2, 40] {
+            let mut w = RateWindow::new(capacity);
+            let mut reference =
+                ShiftingWindow { capacity, closed: Vec::new(), second: 0, count: 0 };
+            let mut now_ms = 0u64;
+            for step in 0..20_000 {
+                // Mostly sub-second steps, with one in eight a gap of up
+                // to three window lengths.
+                now_ms +=
+                    if draw(8) == 0 { draw(3 * capacity as u64 * 1000 + 1) } else { draw(1_500) };
+                let now = SimTime::from_millis(now_ms);
+                w.roll_to(now);
+                reference.roll_to(now.as_secs());
+                if draw(4) != 0 {
+                    w.observe(now);
+                    reference.count += 1;
+                }
+                let at = format!("capacity {capacity}, step {step}");
+                assert_eq!(w.samples(), reference.closed.as_slice(), "{at}");
+                assert_eq!(w.is_full(), reference.closed.len() == capacity, "{at}");
+                assert_eq!(w.mean().to_bits(), reference.mean().to_bits(), "{at}");
+                // Whole and half thresholds: the comparisons are strict.
+                let threshold = draw(12) as f64 / 2.0;
+                let above = reference.closed.iter().filter(|&&c| c as f64 > threshold).count();
+                let below = reference.closed.iter().filter(|&&c| (c as f64) < threshold).count();
+                assert_eq!(w.count_above(threshold), above, "{at}, threshold {threshold}");
+                assert_eq!(w.count_below(threshold), below, "{at}, threshold {threshold}");
+            }
+        }
     }
 
     #[test]
