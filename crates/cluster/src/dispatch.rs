@@ -83,7 +83,7 @@ impl ClusterSim {
                 break;
             }
             self.arrival_index.pop();
-            match self.funcs.get(id).and_then(|f| f.arrivals.front().copied()) {
+            match self.funcs.cold(id).and_then(|f| f.arrivals.front().copied()) {
                 Some(head) if head < cutoff => due.push(id),
                 Some(head) => self.arrival_index.push(std::cmp::Reverse((head, id))),
                 None => {}
@@ -99,23 +99,23 @@ impl ClusterSim {
         routed.clear();
         for &id in &due {
             loop {
-                let f = self.funcs.get_mut(id).expect("due function exists");
-                while f.arrivals.front().is_some_and(|&t| t < cutoff) {
-                    let arrived = f.arrivals.pop_front().expect("checked front");
+                let (hot, cold) = self.funcs.get_mut(id).expect("due function exists");
+                while cold.arrivals.front().is_some_and(|&t| t < cutoff) {
+                    let arrived = cold.arrivals.pop_front().expect("checked front");
                     let req = Request { id: self.next_request, arrived };
                     self.next_request += 1;
-                    f.arrived += 1;
-                    f.sec_arrivals += 1;
-                    f.window.observe(arrived);
+                    cold.arrived += 1;
+                    hot.sec_arrivals += 1;
+                    hot.window.observe(arrived);
                     routed.push((id, req));
                 }
                 // Window drained mid-quantum: pull the next chunk and keep
                 // popping — a bounded window must never delay an arrival.
-                if f.arrivals.is_empty() && f.stream.is_some() {
+                if cold.arrivals.is_empty() && cold.stream.is_some() {
                     self.refill_arrivals(id);
                     let refilled_due = self
                         .funcs
-                        .get(id)
+                        .cold(id)
                         .is_some_and(|f| f.arrivals.front().is_some_and(|&t| t < cutoff));
                     if refilled_due {
                         continue;
@@ -124,7 +124,7 @@ impl ClusterSim {
                 break;
             }
             // Re-arm the index at the next head beyond this quantum.
-            if let Some(&head) = self.funcs.get(id).and_then(|f| f.arrivals.front()) {
+            if let Some(&head) = self.funcs.cold(id).and_then(|f| f.arrivals.front()) {
                 self.arrival_index.push(std::cmp::Reverse((head, id)));
             }
         }
@@ -141,10 +141,10 @@ impl ClusterSim {
         // Least-loaded ready instance; else least-loaded cold-starting one;
         // else the gateway backlog. Scans only this function's instances
         // (the per-func index), not the cluster.
-        let Some(f) = self.funcs.get_mut(func) else {
+        let Some((hot, cold)) = self.funcs.get_mut(func) else {
             return;
         };
-        let candidates = f.instance_ids.iter().filter_map(|uid| self.instances.get(uid));
+        let candidates = cold.instance_ids.iter().filter_map(|uid| self.instances.get(uid));
         let mut best_ready: Option<(usize, InstanceUid)> = None;
         let mut best_cold: Option<(usize, InstanceUid)> = None;
         for inst in candidates {
@@ -168,12 +168,15 @@ impl ClusterSim {
             Some(uid) => {
                 let inst = self.instances.get_mut(&uid).expect("target exists");
                 inst.pending.push_back(req);
-                f.counts.queued += 1;
+                hot.counts.queued += 1;
                 if self.event_active {
                     self.dirty.push(uid);
                 }
             }
-            None => f.backlog.push_back(req),
+            None => {
+                cold.backlog.push_back(req);
+                hot.backlog += 1;
+            }
         }
     }
 
@@ -185,10 +188,10 @@ impl ClusterSim {
             if !inst.state.is_ready() && !matches!(inst.state, InstanceState::Draining) {
                 continue;
             }
-            let Some(f) = self.funcs.get_mut(inst.func) else {
+            let Some(f) = self.funcs.hot_mut(inst.func) else {
                 continue;
             };
-            let FunctionKind::Inference { slo, batch } = f.spec.kind else {
+            let FunctionKind::Inference { slo, batch } = f.kind else {
                 continue;
             };
             // Keep a short pipeline of batches queued on the engine slot so
@@ -247,10 +250,10 @@ impl ClusterSim {
                 // Still cold-starting: promotion re-marks it dirty.
                 continue;
             }
-            let Some(f) = self.funcs.get_mut(inst.func) else {
+            let Some(f) = self.funcs.hot_mut(inst.func) else {
                 continue;
             };
-            let FunctionKind::Inference { slo, batch } = f.spec.kind else {
+            let FunctionKind::Inference { slo, batch } = f.kind else {
                 continue;
             };
             if inst.pending.is_empty() {
@@ -323,10 +326,10 @@ impl ClusterSim {
         let Some(inst) = self.instances.get_mut(&uid) else {
             return;
         };
-        let Some(f) = self.funcs.get(inst.func) else {
+        let Some(f) = self.funcs.hot(inst.func) else {
             return;
         };
-        let profile = f.spec.model.profile();
+        let profile = f.shape.model.profile();
         let stages = inst.gpus.len() as u32;
         let t_total = profile.inference_t_min(batch);
         // With a network plane the inter-stage handoff is priced by an
@@ -355,10 +358,10 @@ impl ClusterSim {
         worker: usize,
         compute: bool,
     ) {
-        let Some(f) = self.funcs.get(func) else {
+        let Some(f) = self.funcs.hot(func) else {
             return;
         };
-        let training = f.spec.model.profile().training;
+        let training = f.shape.model.profile().training;
         let payload = if compute {
             WorkPayload::TrainCompute { func, worker }
         } else {
@@ -398,7 +401,7 @@ impl ClusterSim {
             }
             self.total_blocks_sec += blocks;
             if let Some(inst) = self.instances.get(&Instance::owner_of(slot_id)) {
-                if let Some(f) = self.funcs.get_mut(inst.func) {
+                if let Some(f) = self.funcs.hot_mut(inst.func) {
                     f.sec_blocks += blocks;
                 }
             }
@@ -434,16 +437,16 @@ impl ClusterSim {
         if next_stage >= stages {
             let batch = inst.inflight.remove(pos);
             inst.last_active = at;
-            if let Some(f) = self.funcs.get_mut(inst.func) {
-                let slo = f.spec.slo();
-                f.counts.inflight -= batch.requests.len() as u64;
+            if let Some((hot, cold)) = self.funcs.get_mut(inst.func) {
+                let slo = cold.spec.slo();
+                hot.counts.inflight -= batch.requests.len() as u64;
                 for req in &batch.requests {
                     let latency = at.saturating_since(req.arrived);
-                    f.latency.record(latency);
-                    f.completed += 1;
-                    f.sec_completions += 1;
+                    cold.latency.record(latency);
+                    cold.completed += 1;
+                    hot.sec_completions += 1;
                     if slo.is_some_and(|s| latency > s) {
-                        f.sec_violations += 1;
+                        hot.sec_violations += 1;
                     }
                 }
             }
@@ -466,8 +469,8 @@ impl ClusterSim {
                 let func = inst.func;
                 let bytes = self
                     .funcs
-                    .get(func)
-                    .map_or(1, |f| f.spec.model.profile().activation_bytes(size));
+                    .hot(func)
+                    .map_or(1, |f| f.shape.model.profile().activation_bytes(size));
                 let now = self.now;
                 let net = self.net.as_mut().expect("checked above");
                 net.plane.start_transfer(

@@ -2,64 +2,47 @@
 //!
 //! The controller tick is the cluster's decision heartbeat: every second
 //! the control plane takes the cluster-wide metrics sample, snapshots the
-//! cluster for the audit hook, and makes one pass over the function table
-//! that touches each function once, in id order: it closes the function's
-//! second of per-function series, rolls its RPS window, fills a stale
-//! capacity cache and builds its [`FunctionScaleView`] (current and
-//! deploy-time quotas; how far they may grow is the controller's own
-//! reading of the [`ClusterView`]). Instance and backlog counts come from
-//! per-function counters kept at every launch, promotion, drain,
-//! termination, route, dispatch and completion, which debug builds
-//! recount at every tick; only a function with a ready or draining
-//! instance walks its instances, for the idle time and the draining
-//! backlog.
+//! cluster for the audit hook, and makes one pass over the function
+//! table's dense hot records that touches each function once, in id
+//! order: it closes the function's second of per-function series, rolls
+//! its RPS window, fills a stale capacity cache and builds its
+//! [`FunctionScaleView`] (current and deploy-time quotas; how far they may
+//! grow is the controller's own reading of the [`ClusterView`]). Instance
+//! and backlog counts come from per-function counters kept at every
+//! launch, promotion, drain, termination, route, dispatch and completion,
+//! which debug builds recount at every tick, together with every field the
+//! hot record copies from the cold one. The pass reads a cold record only
+//! to record series, and to walk the instances of a function with a ready
+//! or draining instance, for the idle time and the draining backlog.
 //!
 //! The tick then executes the
 //! [`ElasticityController`](crate::ElasticityController)'s actions —
 //! horizontal scale-out/scale-in through the [`lifecycle`](crate::lifecycle)
 //! module, each launch placed on the tick's view and patching in its own
 //! slices instead of refilling it (debug builds compare the patch with a
-//! fresh fill), and vertical [`ScaleAction::ResizeQuota`] decisions queued
+//! fresh fill); a scale-out whose hot shape was already refused this tick
+//! is skipped after a forward cursor step, with no search and no cold
+//! read. Vertical [`ScaleAction::ResizeQuota`] decisions are queued
 //! here behind the 1 ms apply latency, then fanned out to every live slice
 //! on the node plane. Identical on both time models (the tick runs inside
 //! the shared controller phase), which is what keeps audit content and
 //! reports byte-identical across dense and event-driven execution.
 
-use dilu_gpu::{SmRate, TaskClass, QUANTUM};
+use dilu_gpu::{SmRate, QUANTUM};
 use dilu_metrics::{FragmentationSnapshot, GpuUsageSample};
-use dilu_models::ModelId;
 use dilu_sim::{SimDuration, SimTime};
 
 use crate::audit::{AuditHook, AuditSnapshot, FunctionAudit, GpuAudit};
 #[cfg(debug_assertions)]
 use crate::instance::InstanceCounts;
-use crate::lifecycle::{task_class, LaunchError};
-use crate::sim::{ClusterSim, FuncState, SimEvent, RESIZE_LATENCY, TICK};
+use crate::lifecycle::LaunchError;
+use crate::sim::{
+    capacity_of, ClusterSim, FuncHot, PlacementShape, SimEvent, RESIZE_LATENCY, TICK,
+};
 use crate::traits::{
     ClusterView, FunctionScaleView, GpuView, QuotaView, ResidentInfo, ScaleAction,
 };
-use crate::{FunctionId, FunctionSpec, GpuAddr, InstanceState, Quotas};
-
-/// What a [`Placement`](crate::Placement) may base a refusal on (see its
-/// contract): two specs of one shape are refused alike on one view.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PlacementShape {
-    model: ModelId,
-    class: TaskClass,
-    gpus_per_instance: u32,
-    quotas: Quotas,
-}
-
-impl PlacementShape {
-    fn of(spec: &FunctionSpec) -> Self {
-        PlacementShape {
-            model: spec.model,
-            class: task_class(spec.kind),
-            gpus_per_instance: spec.gpus_per_instance,
-            quotas: spec.quotas,
-        }
-    }
-}
+use crate::{FunctionId, GpuAddr, InstanceState};
 
 /// A decided-but-not-yet-applied vertical resize.
 #[derive(Debug, Clone, Copy)]
@@ -109,21 +92,21 @@ impl ClusterSim {
         let functions = self
             .funcs
             .iter()
-            .map(|f| FunctionAudit {
-                func: f.spec.id,
-                inference: f.spec.kind.is_inference(),
-                arrived: f.arrived,
-                completed: f.completed,
-                backlog: f.backlog.len() as u64,
-                queued: f.counts.queued,
-                inflight: f.counts.inflight,
-                pending_arrivals: f.arrivals.len() as u64,
-                ready_instances: f.counts.ready,
-                starting_instances: f.counts.starting,
-                draining_instances: f.counts.draining,
-                cold_starts: f.cold_starts.count(),
-                resize_grows: f.resizes.grows(),
-                resize_shrinks: f.resizes.shrinks(),
+            .map(|(hot, cold)| FunctionAudit {
+                func: hot.id,
+                inference: hot.kind.is_inference(),
+                arrived: cold.arrived,
+                completed: cold.completed,
+                backlog: hot.backlog as u64,
+                queued: hot.counts.queued,
+                inflight: hot.counts.inflight,
+                pending_arrivals: cold.arrivals.len() as u64,
+                ready_instances: hot.counts.ready,
+                starting_instances: hot.counts.starting,
+                draining_instances: hot.counts.draining,
+                cold_starts: cold.cold_starts.count(),
+                resize_grows: cold.resizes.grows(),
+                resize_shrinks: cold.resizes.shrinks(),
             })
             .collect();
         let network = self.net.as_ref().map(|net| crate::audit::NetAudit {
@@ -140,7 +123,7 @@ impl ClusterSim {
     /// A re-request while one is still in flight retargets the pending
     /// resize but keeps its original due time.
     pub(crate) fn request_resize(&mut self, func: FunctionId, request: SmRate, limit: SmRate) {
-        let Some(f) = self.funcs.get(func) else {
+        let Some(f) = self.funcs.hot(func) else {
             return;
         };
         let request = request.min(SmRate::FULL);
@@ -150,7 +133,7 @@ impl ClusterSim {
             pending.limit = limit;
             return;
         }
-        if f.spec.quotas.request == request && f.spec.quotas.limit == limit {
+        if f.shape.quotas.request == request && f.shape.quotas.limit == limit {
             return;
         }
         let due = self.now + RESIZE_LATENCY;
@@ -165,7 +148,8 @@ impl ClusterSim {
     }
 
     /// Applies every resize whose latency has elapsed: the function's spec
-    /// (future launches, capacity) and every live slice on the GPUs.
+    /// and its hot shape (future launches, capacity), and every live slice
+    /// on the GPUs.
     pub(crate) fn apply_due_resizes(&mut self) {
         let now = self.now;
         if self.pending_resizes.iter().all(|r| r.due > now) {
@@ -181,19 +165,20 @@ impl ClusterSim {
             }
         });
         for r in due {
-            let Some(f) = self.funcs.get_mut(r.func) else {
+            let Some((hot, cold)) = self.funcs.get_mut(r.func) else {
                 continue;
             };
-            let old = f.spec.quotas;
+            let old = cold.spec.quotas;
             if r.request > old.request || (r.request == old.request && r.limit > old.limit) {
-                f.resizes.record_grow();
+                cold.resizes.record_grow();
             } else {
-                f.resizes.record_shrink();
+                cold.resizes.record_shrink();
             }
-            f.spec.quotas.request = r.request;
-            f.spec.quotas.limit = r.limit;
-            f.capacity = None;
-            let ids = f.instance_ids.clone();
+            cold.spec.quotas.request = r.request;
+            cold.spec.quotas.limit = r.limit;
+            hot.shape.quotas = cold.spec.quotas;
+            hot.capacity = None;
+            let ids = cold.instance_ids.clone();
             for uid in ids {
                 let Some(inst) = self.instances.get(&uid) else {
                     continue;
@@ -243,8 +228,8 @@ impl ClusterSim {
             }
         }
         for inst in self.instances.values() {
-            if let Some(f) = self.funcs.get(inst.func) {
-                self.add_to_view(view, &inst.gpus, resident(&f.spec));
+            if let Some(f) = self.funcs.hot(inst.func) {
+                self.add_to_view(view, &inst.gpus, resident(f));
             }
         }
     }
@@ -283,7 +268,10 @@ impl ClusterSim {
             std::mem::replace(&mut self.view_scratch, ClusterView { gpus: Vec::new() });
         self.fill_cluster_view(&mut cluster);
         #[cfg(debug_assertions)]
-        self.assert_instance_counts();
+        {
+            self.assert_instance_counts();
+            self.assert_hot_copies();
+        }
         if self.audit_hook.is_some() {
             let snapshot = self.audit_with(&cluster);
             if let Some(hook) = self.audit_hook.as_mut() {
@@ -294,34 +282,25 @@ impl ClusterSim {
         let record_series = self.config.function_series;
         let instances = &self.instances;
         let mut views = Vec::with_capacity(self.funcs.len());
-        for f in self.funcs.iter_mut() {
+        for (hot, cold) in self.funcs.iter_mut() {
             if let Some(sec) = sampled {
-                f.close_second(sec, record_series);
+                hot.close_second(cold, sec, record_series);
             }
-            f.window.roll_to(now);
-            let (capacity_rps, capacity_rps_at_limit) = *f.capacity.get_or_insert_with(|| {
-                (f.spec.capacity_rps(), f.spec.capacity_rps_at(f.spec.quotas.limit))
-            });
+            hot.window.roll_to(now);
+            let (capacity_rps, capacity_rps_at_limit) =
+                *hot.capacity.get_or_insert_with(|| capacity_of(&cold.spec));
             // The view borrows the window instead of copying its samples.
-            let f: &FuncState = f;
-            if !f.spec.kind.is_inference() {
+            let f: &FuncHot = hot;
+            if !f.kind.is_inference() {
                 continue;
             }
-            debug_assert!(
-                capacity_rps.to_bits() == f.spec.capacity_rps().to_bits()
-                    && capacity_rps_at_limit.to_bits()
-                        == f.spec.capacity_rps_at(f.spec.quotas.limit).to_bits(),
-                "cached capacity of {} is stale for its quotas {:?}",
-                f.spec.id,
-                f.spec.quotas
-            );
             let counts = f.counts;
-            let mut backlog = f.backlog.len() + (counts.queued + counts.inflight) as usize;
+            let mut backlog = f.backlog + (counts.queued + counts.inflight) as usize;
             let mut max_idle = SimDuration::ZERO;
             // Idle time needs the ready instances themselves, and the
             // backlog leaves out what draining instances still hold.
             if counts.ready > 0 || counts.draining > 0 {
-                for inst in f.instance_ids.iter().filter_map(|uid| instances.get(uid)) {
+                for inst in cold.instance_ids.iter().filter_map(|uid| instances.get(uid)) {
                     match inst.state {
                         InstanceState::Running if inst.load() == 0 => {
                             max_idle = max_idle.max(now.saturating_since(inst.last_active));
@@ -332,8 +311,8 @@ impl ClusterSim {
                 }
             }
             views.push(FunctionScaleView {
-                func: f.spec.id,
-                kind: f.spec.kind,
+                func: f.id,
+                kind: f.kind,
                 rps_window: f.window.samples(),
                 ready_instances: counts.ready,
                 starting_instances: counts.starting,
@@ -341,8 +320,8 @@ impl ClusterSim {
                 capacity_rps,
                 max_idle,
                 quota: QuotaView {
-                    request: f.spec.quotas.request,
-                    limit: f.spec.quotas.limit,
+                    request: f.shape.quotas.request,
+                    limit: f.shape.quotas.limit,
                     profiled_request: f.profiled.0,
                     profiled_limit: f.profiled.1,
                     capacity_rps_at_limit,
@@ -355,13 +334,15 @@ impl ClusterSim {
         // instance draining, a resize is only queued), so a launch patches
         // `cluster` with its own slices instead of refilling it, and under
         // the `Placement` contract a refused shape stays refused until one
-        // succeeds, so skipping it costs no placement call.
+        // succeeds, so skipping it costs no placement call. A cursor finds
+        // each scale-out's record, since controllers act in view order (id
+        // order), so a doomed scale-out reads nothing but its hot shape.
         let mut refused: Vec<PlacementShape> = Vec::new();
+        let mut cursor = 0;
         for action in actions {
             match action {
                 ScaleAction::ScaleOut { func, count } => {
-                    let Some(shape) = self.funcs.get(func).map(|f| PlacementShape::of(&f.spec))
-                    else {
+                    let Some(shape) = self.funcs.seek(&mut cursor, func).map(|f| f.shape) else {
                         continue;
                     };
                     for _ in 0..count {
@@ -385,10 +366,10 @@ impl ClusterSim {
                     for _ in 0..count {
                         // Drain the most idle ready instance (scanning only
                         // this function's instances via the per-func index).
-                        let Some(f) = self.funcs.get_mut(func) else {
+                        let Some((hot, cold)) = self.funcs.get_mut(func) else {
                             break;
                         };
-                        let victim = f
+                        let victim = cold
                             .instance_ids
                             .iter()
                             .filter_map(|uid| self.instances.get(uid))
@@ -405,9 +386,9 @@ impl ClusterSim {
                         let Some(inst) = victim.and_then(|uid| self.instances.get_mut(&uid)) else {
                             continue;
                         };
-                        f.counts.leave(inst.state);
+                        hot.counts.leave(inst.state);
                         inst.state = InstanceState::Draining;
-                        f.counts.enter(inst.state);
+                        hot.counts.enter(inst.state);
                         self.draining_count += 1;
                         if self.event_active {
                             // Remaining pending work may still dispatch
@@ -428,10 +409,10 @@ impl ClusterSim {
     /// instances and panics, naming the function and the field, on drift.
     #[cfg(debug_assertions)]
     fn assert_instance_counts(&self) {
-        for f in self.funcs.iter() {
-            let kept = f.counts;
+        for (hot, cold) in self.funcs.iter() {
+            let kept = hot.counts;
             let counted = InstanceCounts::recount(
-                f.instance_ids.iter().filter_map(|uid| self.instances.get(uid)),
+                cold.instance_ids.iter().filter_map(|uid| self.instances.get(uid)),
             );
             for (field, kept, counted) in [
                 ("ready", u64::from(kept.ready), u64::from(counted.ready)),
@@ -443,8 +424,31 @@ impl ClusterSim {
                 assert_eq!(
                     kept, counted,
                     "the `{field}` instance counter of {} drifted from its instances",
-                    f.spec.id
+                    hot.id
                 );
+            }
+        }
+    }
+
+    /// The hot records' debug oracle: re-derives every field a [`FuncHot`]
+    /// copies from its cold state and panics, naming the function and the
+    /// field, on drift.
+    #[cfg(debug_assertions)]
+    fn assert_hot_copies(&self) {
+        for (hot, cold) in self.funcs.iter() {
+            let spec = &cold.spec;
+            let (at_request, at_limit) = capacity_of(spec);
+            let capacity = hot.capacity.is_none_or(|(request, limit)| {
+                request.to_bits() == at_request.to_bits() && limit.to_bits() == at_limit.to_bits()
+            });
+            for (field, held) in [
+                ("id", hot.id == spec.id),
+                ("kind", hot.kind == spec.kind),
+                ("shape", hot.shape == PlacementShape::of(spec)),
+                ("backlog", hot.backlog == cold.backlog.len()),
+                ("capacity", capacity),
+            ] {
+                assert!(held, "the hot `{field}` of {} drifted from its cold state", spec.id);
             }
         }
     }
@@ -473,7 +477,7 @@ impl ClusterSim {
         func: FunctionId,
         shape: &PlacementShape,
     ) {
-        let spec = &self.funcs.get(func).expect("a scaled-out function is deployed").spec;
+        let spec = &self.funcs.cold(func).expect("a scaled-out function is deployed").spec;
         let placed = self.placement.place(spec, view);
         assert!(
             placed.is_none(),
@@ -540,13 +544,13 @@ impl ClusterSim {
     }
 }
 
-/// The view entry of one slice of `spec`'s instances.
-pub(crate) fn resident(spec: &FunctionSpec) -> ResidentInfo {
+/// The view entry of one slice of `f`'s instances.
+pub(crate) fn resident(f: &FuncHot) -> ResidentInfo {
     ResidentInfo {
-        func: spec.id,
-        class: task_class(spec.kind),
-        request: spec.quotas.request,
-        limit: spec.quotas.limit,
-        mem_bytes: spec.quotas.mem_bytes,
+        func: f.id,
+        class: f.shape.class,
+        request: f.shape.quotas.request,
+        limit: f.shape.quotas.limit,
+        mem_bytes: f.shape.quotas.mem_bytes,
     }
 }

@@ -17,7 +17,7 @@ use dilu_sim::SimTime;
 
 use crate::elasticity::resident;
 use crate::instance::{Instance, MAX_STAGES};
-use crate::sim::{new_func_state, ArrivalStream, SimEvent, TICK};
+use crate::sim::{ArrivalStream, SimEvent, TICK};
 use crate::traits::ClusterView;
 use crate::{
     cold_start_duration, ClusterSim, FunctionId, FunctionKind, FunctionSpec, InstanceState,
@@ -143,9 +143,7 @@ impl ClusterSim {
         debug_assert!(spec.kind.is_inference(), "use deploy_training for training functions");
         self.validate_spec(&spec)?;
         let id = spec.id;
-        let mut state = new_func_state(spec);
-        state.stream = Some(ArrivalStream { process, end });
-        self.funcs.insert(state);
+        self.funcs.insert(spec, Some(ArrivalStream { process, end }));
         for _ in 0..initial {
             self.launch_instance(id, true).map_err(|_| DeployError::PlacementFailed(id))?;
         }
@@ -168,7 +166,7 @@ impl ClusterSim {
         };
         self.validate_spec(&spec)?;
         let id = spec.id;
-        self.funcs.insert(new_func_state(spec));
+        self.funcs.insert(spec, None);
         let mut uids = Vec::new();
         for _ in 0..workers {
             match self.launch_instance(id, true) {
@@ -305,7 +303,7 @@ impl ClusterSim {
         for inst in self.instances.values_mut() {
             if let InstanceState::ColdStarting { ready_at } = inst.state {
                 if now >= ready_at {
-                    if let Some(f) = self.funcs.get_mut(inst.func) {
+                    if let Some(f) = self.funcs.hot_mut(inst.func) {
                         f.counts.leave(inst.state);
                         f.counts.enter(InstanceState::Running);
                     }
@@ -318,12 +316,11 @@ impl ClusterSim {
         let promoted = became_ready.len() as u64;
         // Drain gateway backlog into newly ready instances.
         for (uid, func) in became_ready {
-            if let Some(f) = self.funcs.get_mut(func) {
+            if let Some((hot, cold)) = self.funcs.get_mut(func) {
                 if let Some(inst) = self.instances.get_mut(&uid) {
-                    f.counts.queued += f.backlog.len() as u64;
-                    while let Some(req) = f.backlog.pop_front() {
-                        inst.pending.push_back(req);
-                    }
+                    hot.counts.queued += cold.backlog.len() as u64;
+                    hot.backlog = 0;
+                    inst.pending.extend(cold.backlog.drain(..));
                 }
             }
             self.maybe_start_job(func);
@@ -343,13 +340,12 @@ impl ClusterSim {
         };
         debug_assert!(now >= ready_at, "promotion event fired early");
         let func = inst.func;
-        if let Some(f) = self.funcs.get_mut(func) {
-            f.counts.leave(inst.state);
-            f.counts.enter(InstanceState::Running);
-            f.counts.queued += f.backlog.len() as u64;
-            while let Some(req) = f.backlog.pop_front() {
-                inst.pending.push_back(req);
-            }
+        if let Some((hot, cold)) = self.funcs.get_mut(func) {
+            hot.counts.leave(inst.state);
+            hot.counts.enter(InstanceState::Running);
+            hot.counts.queued += cold.backlog.len() as u64;
+            hot.backlog = 0;
+            inst.pending.extend(cold.backlog.drain(..));
         }
         inst.state = InstanceState::Running;
         inst.last_active = now;
@@ -417,8 +413,8 @@ impl ClusterSim {
                 job.iterations_done += 1;
                 let samples = self
                     .funcs
-                    .get(func)
-                    .map(|f| u64::from(f.spec.model.profile().training.samples_per_iter))
+                    .hot(func)
+                    .map(|f| u64::from(f.shape.model.profile().training.samples_per_iter))
                     .unwrap_or(0);
                 job.samples_done += samples * job.workers.len() as u64;
                 if job.iterations_done >= job.target {
@@ -480,15 +476,14 @@ impl ClusterSim {
         if let Some(token) = inst.deadline {
             self.events.cancel(token);
         }
-        if let Some(f) = self.funcs.get_mut(inst.func) {
-            f.instance_ids.retain(|&i| i != uid);
-            f.counts.leave(inst.state);
-            f.counts.queued -= inst.pending.len() as u64;
-            f.counts.inflight -= inst.inflight_requests() as u64;
+        if let Some((hot, cold)) = self.funcs.get_mut(inst.func) {
+            cold.instance_ids.retain(|&i| i != uid);
+            hot.counts.leave(inst.state);
+            hot.counts.queued -= inst.pending.len() as u64;
+            hot.counts.inflight -= inst.inflight_requests() as u64;
             // Requeue any stranded requests at the gateway.
-            for req in inst.pending.iter() {
-                f.backlog.push_back(*req);
-            }
+            cold.backlog.extend(inst.pending.iter().copied());
+            hot.backlog += inst.pending.len();
         }
         for (stage, gpu) in inst.gpus.iter().enumerate() {
             self.nodes.evict(*gpu, inst.slot_id(stage));
@@ -522,9 +517,9 @@ impl ClusterSim {
         func: FunctionId,
         prewarmed: bool,
     ) -> Result<InstanceUid, LaunchError> {
-        let f = self.funcs.get(func).expect("launch of an undeployed function");
-        let (model, stages, slice) = (f.spec.model, f.spec.gpus_per_instance, resident(&f.spec));
-        let gpus = self.placement.place(&f.spec, view).ok_or(LaunchError::NoPlacement)?;
+        let (hot, cold) = self.funcs.get(func).expect("launch of an undeployed function");
+        let (model, stages, slice) = (hot.shape.model, hot.shape.gpus_per_instance, resident(hot));
+        let gpus = self.placement.place(&cold.spec, view).ok_or(LaunchError::NoPlacement)?;
         // Every address enters the node plane here, and the plane indexes
         // GPUs densely: an off-grid `gpu` would alias another node's card.
         let grid = self.spec;
@@ -534,7 +529,7 @@ impl ClusterSim {
             "placement `{}` returned {gpus:?} for `{}`, which needs exactly {} GPU(s) on the \
              {} x {} grid",
             self.placement.name(),
-            f.spec.name,
+            cold.spec.name,
             stages,
             grid.nodes,
             grid.gpus_per_node,
@@ -589,7 +584,7 @@ impl ClusterSim {
             if net.caches[node].contains(&model) {
                 // Weights already on the node: only the provision residue
                 // (container/runtime setup) stands between us and Running.
-                if let Some(f) = self.funcs.get_mut(func) {
+                if let Some(f) = self.funcs.cold_mut(func) {
                     f.cold_starts.record_cached(provision);
                 }
                 let ready_at = self.now + provision;
@@ -616,7 +611,7 @@ impl ClusterSim {
             }
         } else {
             let delay = cold_start_duration(model);
-            if let Some(f) = self.funcs.get_mut(func) {
+            if let Some(f) = self.funcs.cold_mut(func) {
                 f.cold_starts.record(delay);
             }
             let ready_at = self.now + delay;
@@ -628,9 +623,9 @@ impl ClusterSim {
             }
             InstanceState::ColdStarting { ready_at }
         };
-        if let Some(f) = self.funcs.get_mut(func) {
-            f.instance_ids.push(uid);
-            f.counts.enter(inst.state);
+        if let Some((hot, cold)) = self.funcs.get_mut(func) {
+            cold.instance_ids.push(uid);
+            hot.counts.enter(inst.state);
         }
         self.instance_gpus += inst.gpus.len();
         self.add_to_view(view, &inst.gpus, slice);

@@ -96,7 +96,7 @@ impl ClusterSim {
                     let ready_at = (launched + provision).max(now);
                     let total = ready_at.saturating_since(launched);
                     let fetch = now.saturating_since(launched);
-                    if let Some(f) = self.funcs.get_mut(func) {
+                    if let Some(f) = self.funcs.cold_mut(func) {
                         f.cold_starts.record_fetch(total, fetch);
                     }
                     let inst = self.instances.get_mut(&uid).expect("checked above");

@@ -30,23 +30,26 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-use dilu_gpu::{SmRate, QUANTUM};
+use dilu_gpu::{SmRate, TaskClass, QUANTUM};
 use dilu_metrics::{
     ColdStartCounter, FragmentationStats, GpuUsageSample, LatencyRecorder, PhaseProfile,
     PhaseProfiler, RateWindow, ResizeCounter, SampleClock, SimPhase,
 };
 
+use dilu_models::ModelId;
 use dilu_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::audit::AuditHook;
 use crate::dispatch::TagSlab;
 use crate::elasticity::PendingResize;
 use crate::instance::{Instance, InstanceCounts, Request};
-use crate::lifecycle::TrainingJob;
+use crate::lifecycle::{task_class, TrainingJob};
 use crate::nodes::NodePlane;
 use crate::report::{ClusterReport, FunctionReport, TimelinePoint, TrainingReport};
 use crate::traits::{ClusterView, ElasticityController, Placement, PolicyFactory};
-use crate::{ClusterSpec, FunctionId, FunctionKind, FunctionSpec, InstanceState, InstanceUid};
+use crate::{
+    ClusterSpec, FunctionId, FunctionKind, FunctionSpec, InstanceState, InstanceUid, Quotas,
+};
 
 /// How simulated time advances in [`ClusterSim::run_until`]: a
 /// wake-on-work event engine by default, or the legacy dense stepper kept
@@ -276,16 +279,69 @@ pub(crate) struct ArrivalStream {
     pub(crate) end: SimTime,
 }
 
-pub(crate) struct FuncState {
-    pub(crate) spec: FunctionSpec,
+/// What a [`Placement`](crate::Placement) may base a refusal on (see its
+/// contract): two specs of one shape are refused alike on one view.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PlacementShape {
+    pub(crate) model: ModelId,
+    pub(crate) class: TaskClass,
+    pub(crate) gpus_per_instance: u32,
+    /// The function's current quotas.
+    pub(crate) quotas: Quotas,
+}
+
+impl PlacementShape {
+    pub(crate) fn of(spec: &FunctionSpec) -> Self {
+        PlacementShape {
+            model: spec.model,
+            class: task_class(spec.kind),
+            gpus_per_instance: spec.gpus_per_instance,
+            quotas: spec.quotas,
+        }
+    }
+}
+
+/// The part of a function's state the controller tick reads or writes for
+/// every function: a dense record, so the tick's pass over the fleet and
+/// its scale-out lookups stream a few cache lines per function instead of
+/// the whole [`FuncCold`].
+///
+/// `id`, `kind`, `shape` and `backlog` copy cold state and change with it,
+/// and `capacity` is a function of it (debug builds re-derive all five at
+/// every tick); the window and the per-second counters live only here.
+pub(crate) struct FuncHot {
+    pub(crate) id: FunctionId,
+    pub(crate) kind: FunctionKind,
+    /// `PlacementShape::of(&cold.spec)`: its quotas are the current ones.
+    pub(crate) shape: PlacementShape,
     /// The deploy-time `(request, limit)` quotas. Applied resizes rewrite
-    /// `spec.quotas`, never this.
+    /// the current quotas, never this.
     pub(crate) profiled: (SmRate, SmRate),
-    /// `spec.capacity_rps()` and `spec.capacity_rps_at(spec.quotas.limit)`,
-    /// cached: both evaluate the model profile's exec-time curve, and
-    /// every controller tick needs them for every function. `None` from
-    /// deploy or a quota change until the next tick fills it.
+    /// [`capacity_of`] the spec, cached: it evaluates the model profile's
+    /// exec-time curve twice, and every tick needs it for every function.
+    /// `None` from deploy or a quota change until the next tick fills it.
     pub(crate) capacity: Option<(f64, f64)>,
+    /// This function's live instances by state, and the requests they hold.
+    pub(crate) counts: InstanceCounts,
+    /// `cold.backlog.len()`.
+    pub(crate) backlog: usize,
+    pub(crate) sec_arrivals: u64,
+    pub(crate) sec_completions: u64,
+    pub(crate) sec_violations: u64,
+    pub(crate) sec_blocks: u64,
+    pub(crate) window: RateWindow,
+}
+
+/// `spec.capacity_rps()` and `spec.capacity_rps_at(spec.quotas.limit)`: one
+/// instance's serving capacity at its `request` and its `limit` quota.
+pub(crate) fn capacity_of(spec: &FunctionSpec) -> (f64, f64) {
+    (spec.capacity_rps(), spec.capacity_rps_at(spec.quotas.limit))
+}
+
+/// The rest of a function's state: what only routing, dispatch, lifecycle
+/// events, the audit snapshot and the report touch.
+pub(crate) struct FuncCold {
+    pub(crate) spec: FunctionSpec,
     /// Uids of this function's live instances, ascending (maintained at
     /// launch/terminate so routing never scans the whole cluster).
     pub(crate) instance_ids: Vec<InstanceUid>,
@@ -297,31 +353,26 @@ pub(crate) struct FuncState {
     /// The rest of the arrival schedule, still inside the process
     /// (`None` for training functions and exhausted streams).
     pub(crate) stream: Option<ArrivalStream>,
+    /// Requests waiting for an instance; its length is copied to
+    /// [`FuncHot::backlog`].
     pub(crate) backlog: VecDeque<Request>,
     pub(crate) latency: LatencyRecorder,
     pub(crate) arrived: u64,
     pub(crate) completed: u64,
     pub(crate) cold_starts: ColdStartCounter,
     pub(crate) resizes: ResizeCounter,
-    pub(crate) window: RateWindow,
     pub(crate) timeline: Vec<TimelinePoint>,
-    pub(crate) sec_arrivals: u64,
-    pub(crate) sec_completions: u64,
-    pub(crate) sec_violations: u64,
-    pub(crate) sec_blocks: u64,
     pub(crate) kernel_series: Vec<(u64, u64)>,
-    /// This function's live instances by state, and the requests they hold.
-    pub(crate) counts: InstanceCounts,
 }
 
-impl FuncState {
+impl FuncHot {
     /// Closes second `sec` of this function's series (when recorded) and
     /// resets its per-second counters, so aggregates stay exact either way.
-    pub(crate) fn close_second(&mut self, sec: u64, record_series: bool) {
+    pub(crate) fn close_second(&mut self, cold: &mut FuncCold, sec: u64, record_series: bool) {
         if record_series {
-            self.kernel_series.push((sec, self.sec_blocks));
-            if self.spec.kind.is_inference() {
-                self.timeline.push(TimelinePoint {
+            cold.kernel_series.push((sec, self.sec_blocks));
+            if self.kind.is_inference() {
+                cold.timeline.push(TimelinePoint {
                     sec,
                     arrivals: self.sec_arrivals,
                     completions: self.sec_completions,
@@ -339,23 +390,25 @@ impl FuncState {
 
 /// Every deployed function's state, looked up by id and walked in id order.
 ///
-/// The states sit in one `Vec` in deploy order, and `index` holds
-/// `(id, position)` pairs sorted by id: a lookup is a binary search over
-/// that dense column, and a deploy out of id order shifts 8-byte index
-/// entries, never `FuncState`s. [`iter_mut`](Self::iter_mut) first settles
-/// the states into id order (a no-op once they are), so the per-tick pass
-/// walks contiguous memory.
+/// Each function is a [`FuncHot`] and a [`FuncCold`] at the same position
+/// of two columns, kept in deploy order, and `index` holds `(id,
+/// position)` pairs sorted by id: a lookup is a binary search over that
+/// dense column, and a deploy out of id order shifts 8-byte index entries,
+/// never records. [`iter_mut`](Self::iter_mut) first settles both columns
+/// into id order (a no-op once they are), so the per-tick pass walks the
+/// hot column contiguously.
 #[derive(Default)]
 pub(crate) struct FuncTable {
-    states: Vec<FuncState>,
+    hot: Vec<FuncHot>,
+    cold: Vec<FuncCold>,
     index: Vec<(FunctionId, u32)>,
-    /// `true` while `states` is in id order, i.e. `index[k].1 == k`.
+    /// `true` while the columns are in id order, i.e. `index[k].1 == k`.
     settled: bool,
 }
 
 impl FuncTable {
     pub(crate) fn len(&self) -> usize {
-        self.states.len()
+        self.hot.len()
     }
 
     fn position(&self, id: FunctionId) -> Option<usize> {
@@ -367,23 +420,83 @@ impl FuncTable {
         self.position(id).is_some()
     }
 
-    pub(crate) fn get(&self, id: FunctionId) -> Option<&FuncState> {
-        self.position(id).map(|p| &self.states[p])
+    pub(crate) fn get(&self, id: FunctionId) -> Option<(&FuncHot, &FuncCold)> {
+        self.position(id).map(|p| (&self.hot[p], &self.cold[p]))
     }
 
-    pub(crate) fn get_mut(&mut self, id: FunctionId) -> Option<&mut FuncState> {
-        self.position(id).map(|p| &mut self.states[p])
+    pub(crate) fn get_mut(&mut self, id: FunctionId) -> Option<(&mut FuncHot, &mut FuncCold)> {
+        self.position(id).map(|p| (&mut self.hot[p], &mut self.cold[p]))
+    }
+
+    pub(crate) fn hot(&self, id: FunctionId) -> Option<&FuncHot> {
+        self.position(id).map(|p| &self.hot[p])
+    }
+
+    pub(crate) fn hot_mut(&mut self, id: FunctionId) -> Option<&mut FuncHot> {
+        self.position(id).map(|p| &mut self.hot[p])
+    }
+
+    pub(crate) fn cold(&self, id: FunctionId) -> Option<&FuncCold> {
+        self.position(id).map(|p| &self.cold[p])
+    }
+
+    pub(crate) fn cold_mut(&mut self, id: FunctionId) -> Option<&mut FuncCold> {
+        self.position(id).map(|p| &mut self.cold[p])
+    }
+
+    /// [`hot`](Self::hot) for lookups in ascending id order: `cursor`
+    /// is an index entry, moved forward to `id`'s, so a run of ascending
+    /// lookups walks the index once. A lookup below the cursor
+    /// binary-searches.
+    pub(crate) fn seek(&self, cursor: &mut usize, id: FunctionId) -> Option<&FuncHot> {
+        let k = (*cursor).min(self.index.len());
+        *cursor = if k > 0 && self.index[k - 1].0 >= id {
+            self.index.partition_point(|&(i, _)| i < id)
+        } else {
+            k + self.index[k..].iter().take_while(|&&(i, _)| i < id).count()
+        };
+        match self.index.get(*cursor) {
+            Some(&(i, p)) if i == id => Some(&self.hot[p as usize]),
+            _ => None,
+        }
     }
 
     /// Adds a function whose id is not deployed yet.
-    pub(crate) fn insert(&mut self, state: FuncState) {
-        let id = state.spec.id;
+    pub(crate) fn insert(&mut self, spec: FunctionSpec, stream: Option<ArrivalStream>) {
+        let id = spec.id;
         let k = self.index.partition_point(|&(i, _)| i < id);
         debug_assert!(self.index.get(k).is_none_or(|&(i, _)| i != id), "{id} is deployed twice");
-        self.settled = self.states.is_empty() || (self.settled && k == self.index.len());
-        let at = u32::try_from(self.states.len()).expect("fewer than 2^32 functions");
+        self.settled = self.hot.is_empty() || (self.settled && k == self.index.len());
+        let at = u32::try_from(self.hot.len()).expect("fewer than 2^32 functions");
         self.index.insert(k, (id, at));
-        self.states.push(state);
+        self.hot.push(FuncHot {
+            id,
+            kind: spec.kind,
+            shape: PlacementShape::of(&spec),
+            profiled: (spec.quotas.request, spec.quotas.limit),
+            capacity: None,
+            counts: InstanceCounts::default(),
+            backlog: 0,
+            sec_arrivals: 0,
+            sec_completions: 0,
+            sec_violations: 0,
+            sec_blocks: 0,
+            window: RateWindow::new(40),
+        });
+        self.cold.push(FuncCold {
+            spec,
+            instance_ids: Vec::new(),
+            arrivals: VecDeque::new(),
+            stream,
+            backlog: VecDeque::new(),
+            latency: LatencyRecorder::new(),
+            arrived: 0,
+            completed: 0,
+            cold_starts: ColdStartCounter::new(),
+            resizes: ResizeCounter::new(),
+            timeline: Vec::new(),
+            kernel_series: Vec::new(),
+        });
     }
 
     /// Removes a function (a deploy rolled back).
@@ -392,41 +505,52 @@ impl FuncTable {
             return;
         };
         let (_, at) = self.index.remove(k);
-        self.states.swap_remove(at as usize);
-        if let Some(moved) = self.states.get(at as usize).map(|f| f.spec.id) {
+        self.hot.swap_remove(at as usize);
+        self.cold.swap_remove(at as usize);
+        if let Some(moved) = self.hot.get(at as usize).map(|f| f.id) {
             let j = self.index.binary_search_by_key(&moved, |&(i, _)| i).expect("indexed");
             self.index[j].1 = at;
             self.settled = false;
         }
     }
 
-    /// The states in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &FuncState> {
-        self.index.iter().map(|&(_, p)| &self.states[p as usize])
+    /// The functions in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&FuncHot, &FuncCold)> {
+        self.index.iter().map(|&(_, p)| (&self.hot[p as usize], &self.cold[p as usize]))
     }
 
-    /// The states in id order, mutably.
-    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, FuncState> {
+    /// The functions in id order, mutably.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&mut FuncHot, &mut FuncCold)> {
         self.settle();
-        self.states.iter_mut()
+        self.hot.iter_mut().zip(self.cold.iter_mut())
     }
 
-    /// The states in id order, by value.
-    pub(crate) fn into_states(mut self) -> Vec<FuncState> {
+    /// The cold records in id order, by value.
+    pub(crate) fn into_cold(mut self) -> Vec<FuncCold> {
         self.settle();
-        self.states
+        self.cold
     }
 
     fn settle(&mut self) {
         if self.settled {
             return;
         }
-        self.states.sort_unstable_by_key(|f| f.spec.id);
-        for (k, entry) in self.index.iter_mut().enumerate() {
-            entry.1 = k as u32;
+        // A rolled-back out-of-order deploy leaves the columns in order.
+        if self.index.iter().enumerate().any(|(k, &(_, p))| p as usize != k) {
+            self.hot = permuted(std::mem::take(&mut self.hot), &self.index);
+            self.cold = permuted(std::mem::take(&mut self.cold), &self.index);
+            for (k, entry) in self.index.iter_mut().enumerate() {
+                entry.1 = k as u32;
+            }
         }
         self.settled = true;
     }
+}
+
+/// `column` reordered as `index` lists its positions.
+fn permuted<T>(column: Vec<T>, index: &[(FunctionId, u32)]) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = column.into_iter().map(Some).collect();
+    index.iter().map(|&(_, p)| slots[p as usize].take().expect("each position once")).collect()
 }
 
 /// The serving-plane simulator. See the [crate docs](crate) for the model.
@@ -678,14 +802,14 @@ impl ClusterSim {
     pub fn arrival_schedule(&self) -> Vec<(FunctionId, Vec<SimTime>)> {
         self.funcs
             .iter()
-            .filter(|f| f.spec.kind.is_inference())
-            .map(|f| (f.spec.id, f.arrivals.iter().copied().collect()))
+            .filter(|(hot, _)| hot.kind.is_inference())
+            .map(|(hot, cold)| (hot.id, cold.arrivals.iter().copied().collect()))
             .collect()
     }
 
     /// Number of ready (serving) instances of a function.
     pub fn ready_instances(&self, func: FunctionId) -> u32 {
-        self.funcs.get(func).map_or(0, |f| f.counts.ready)
+        self.funcs.hot(func).map_or(0, |f| f.counts.ready)
     }
 
     /// Number of currently occupied GPUs: those hosting at least one
@@ -857,7 +981,7 @@ impl ClusterSim {
     /// surface; exhausted functions' entries are dropped).
     pub fn next_pending_arrival(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, id))) = self.arrival_index.peek() {
-            match self.funcs.get(id).and_then(|f| f.arrivals.front().copied()) {
+            match self.funcs.cold(id).and_then(|f| f.arrivals.front().copied()) {
                 Some(head) if head == t => return Some(t),
                 Some(head) => {
                     debug_assert!(head > t, "pending-arrival heads only advance");
@@ -880,8 +1004,8 @@ impl ClusterSim {
         let empty: Vec<FunctionId> = self
             .funcs
             .iter()
-            .filter(|f| f.stream.is_some() && f.arrivals.is_empty())
-            .map(|f| f.spec.id)
+            .filter(|(_, cold)| cold.stream.is_some() && cold.arrivals.is_empty())
+            .map(|(hot, _)| hot.id)
             .collect();
         for id in empty {
             self.refill_arrivals(id);
@@ -896,7 +1020,7 @@ impl ClusterSim {
     pub(crate) fn refill_arrivals(&mut self, id: FunctionId) {
         let mut chunk = std::mem::take(&mut self.refill_buf);
         chunk.clear();
-        let Some(f) = self.funcs.get_mut(id) else {
+        let Some(f) = self.funcs.cold_mut(id) else {
             self.refill_buf = chunk;
             return;
         };
@@ -1158,8 +1282,8 @@ impl ClusterSim {
         // Flush the final partial second.
         if let Some(sec) = self.sample_cluster_metrics() {
             let record_series = self.config.function_series;
-            for f in self.funcs.iter_mut() {
-                f.close_second(sec, record_series);
+            for (hot, cold) in self.funcs.iter_mut() {
+                hot.close_second(cold, sec, record_series);
             }
         }
         let horizon = self.now;
@@ -1173,7 +1297,7 @@ impl ClusterSim {
             total_kernel_series: self.total_kernel_series,
             ..ClusterReport::default()
         };
-        for f in self.funcs.into_states() {
+        for f in self.funcs.into_cold() {
             let id = f.spec.id;
             match f.spec.kind {
                 FunctionKind::Inference { slo, .. } => {
@@ -1214,30 +1338,5 @@ impl ClusterSim {
             }
         }
         report
-    }
-}
-
-pub(crate) fn new_func_state(spec: FunctionSpec) -> FuncState {
-    FuncState {
-        profiled: (spec.quotas.request, spec.quotas.limit),
-        spec,
-        capacity: None,
-        instance_ids: Vec::new(),
-        arrivals: VecDeque::new(),
-        stream: None,
-        backlog: VecDeque::new(),
-        latency: LatencyRecorder::new(),
-        arrived: 0,
-        completed: 0,
-        cold_starts: ColdStartCounter::new(),
-        resizes: ResizeCounter::new(),
-        window: RateWindow::new(40),
-        timeline: Vec::new(),
-        sec_arrivals: 0,
-        sec_completions: 0,
-        sec_violations: 0,
-        sec_blocks: 0,
-        kernel_series: Vec::new(),
-        counts: InstanceCounts::default(),
     }
 }

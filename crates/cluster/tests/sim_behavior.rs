@@ -586,6 +586,33 @@ fn refused_shape_does_not_block_smaller_shapes_in_the_same_tick() {
     assert_eq!(instances(3), 1, "5 GB still fits after the 20 GB shape was refused");
 }
 
+/// The tick finds a scale-out's function with a cursor that assumes
+/// ascending ids; scale-outs out of id order must launch all the same.
+#[test]
+fn scale_outs_out_of_id_order_all_launch() {
+    let actions =
+        [3, 1, 2, 5].map(|id| ScaleAction::ScaleOut { func: FunctionId(id), count: 1 }).to_vec();
+    let mut sim = ClusterSim::new(
+        ClusterSpec::single_node(1),
+        SimConfig::default(),
+        Box::new(FirstFit),
+        Box::new(ActOnce(actions)),
+        &fair_factory(),
+    );
+    for id in 1..=4 {
+        sim.deploy_inference(bert_with_memory(id, 5), 0, idle(), SimTime::MAX).unwrap();
+    }
+    sim.run_until(SimTime::from_secs(2));
+    let audit = sim.audit();
+    let launched: Vec<u32> = audit
+        .functions
+        .iter()
+        .filter(|f| f.starting_instances + f.ready_instances > 0)
+        .map(|f| f.func.0)
+        .collect();
+    assert_eq!(launched, [1, 2, 3], "fn-5 is not deployed and fn-4 was not scaled out");
+}
+
 /// BROKEN: refuses odd function ids whatever the view, so its refusals
 /// depend on identity, which the `Placement` contract forbids.
 struct RefuseOddIds;
@@ -706,6 +733,66 @@ fn ready_instances_follow_launch_promote_drain_terminate() {
         sim.run_until(SimTime::from_secs(8));
         assert_eq!(states(&sim), (0, 0, 0), "{time_model:?}: terminated");
         assert_eq!(sim.occupied_gpus(), 0, "{time_model:?}: the GPU is free again");
+    }
+}
+
+/// Places on the first GPU whose unreserved guaranteed SM covers the
+/// spec's `request`: a refusal that depends on the current quotas.
+struct RequestFit;
+
+impl Placement for RequestFit {
+    fn place(&mut self, func: &FunctionSpec, cluster: &ClusterView) -> Option<Vec<GpuAddr>> {
+        let gpu = cluster.gpus.iter().find(|g| {
+            g.request_slack() >= func.quotas.request && g.mem_free() >= func.quotas.mem_bytes
+        })?;
+        Some(vec![gpu.addr])
+    }
+
+    fn name(&self) -> &str {
+        "request-fit"
+    }
+}
+
+/// fn-2 and fn-3 deploy with one shape, whose 50 % request does not fit
+/// next to fn-1's 60 %. fn-3 is then shrunk to a 30 % request, and in the
+/// tick where fn-2 is refused, fn-3 must still launch: the refusal memo
+/// judges it by its current shape, not by the one it was deployed with.
+#[test]
+fn a_resized_function_is_judged_by_its_current_shape() {
+    let with_request = |id: u32, request: f64| {
+        let mut spec = bert_with_memory(id, 5);
+        let request = SmRate::from_fraction(request);
+        spec.quotas = Quotas::new(request, request.scale(2.0), spec.quotas.mem_bytes);
+        spec
+    };
+    let (refused, resized) = (FunctionId(2), FunctionId(3));
+    for time_model in [TimeModel::EventDriven, TimeModel::DenseQuantum] {
+        let shrink = SmRate::from_fraction(0.3);
+        let script = Script(vec![
+            (1, ScaleAction::ResizeQuota { func: resized, request: shrink, limit: shrink }),
+            (2, ScaleAction::ScaleOut { func: refused, count: 1 }),
+            (2, ScaleAction::ScaleOut { func: resized, count: 1 }),
+        ]);
+        let mut sim = ClusterSim::new(
+            ClusterSpec::single_node(1),
+            SimConfig { time_model, ..SimConfig::default() },
+            Box::new(RequestFit),
+            Box::new(script),
+            &fair_factory(),
+        );
+        sim.deploy_inference(with_request(1, 0.6), 1, idle(), SimTime::MAX).unwrap();
+        sim.deploy_inference(with_request(2, 0.5), 0, idle(), SimTime::MAX).unwrap();
+        sim.deploy_inference(with_request(3, 0.5), 0, idle(), SimTime::MAX).unwrap();
+        // The resize is decided at the 1.995 s tick and applies 1 ms later;
+        // the scale-outs come at the 2.995 s tick.
+        sim.run_until(SimTime::from_secs(3));
+        let audit = sim.audit();
+        let f = |id: FunctionId| {
+            let f = audit.functions.iter().find(|f| f.func == id).expect("audited");
+            (f.starting_instances + f.ready_instances, f.resize_shrinks)
+        };
+        assert_eq!(f(refused), (0, 0), "{time_model:?}: 50 % does not fit next to 60 %");
+        assert_eq!(f(resized), (1, 1), "{time_model:?}: the shrunk function launched");
     }
 }
 

@@ -107,11 +107,14 @@ const ROLL_SLACK: usize = 8;
 /// Dilu's global scaler (§3.4.2) keeps a 40 s window of RPS values and scales
 /// out when at least φ_out of them exceed deployed capacity.
 ///
-/// Closing a second never shifts the whole window: the samples are the tail
-/// of one buffer of eight more slots than the capacity, allocated up front,
-/// so a roll appends and moves the start forward, and only every eighth
-/// roll of a full window copies the live samples back to the front.
+/// Closing a second never shifts the whole window: the samples are a run of
+/// one zeroed buffer of eight more slots than the capacity, allocated up
+/// front, so a roll appends and moves the start forward, and only every
+/// eighth roll of a full window copies the live samples back to the front.
 /// [`samples`](Self::samples) stays one contiguous, oldest-first slice.
+/// Rolls of idle seconds touch no sample: the slots past the run stay
+/// zero, so closing a zero count writes nothing, and a full window of zeros
+/// closing another zero is left as it is.
 ///
 /// # Examples
 ///
@@ -129,13 +132,15 @@ const ROLL_SLACK: usize = 8;
 #[derive(Debug, Clone)]
 pub struct RateWindow {
     capacity: usize,
-    /// `buf[start..]` holds the closed per-second counts, oldest first, at
-    /// most `capacity` of them; `buf` never grows past
-    /// `capacity + ROLL_SLACK`.
-    buf: Vec<u64>,
+    /// `buf[start..end]` holds the closed per-second counts, oldest first,
+    /// at most `capacity` of them; `buf[end..]` is all zeros.
+    buf: Box<[u64]>,
     start: usize,
+    end: usize,
     current_second: u64,
     current_count: u64,
+    /// One past the last second closed with a non-zero count (0 if none).
+    busy_until: u64,
 }
 
 impl RateWindow {
@@ -148,10 +153,12 @@ impl RateWindow {
         assert!(capacity > 0, "window capacity must be positive");
         RateWindow {
             capacity,
-            buf: Vec::with_capacity(capacity + ROLL_SLACK),
+            buf: vec![0; capacity + ROLL_SLACK].into_boxed_slice(),
             start: 0,
+            end: 0,
             current_second: 0,
             current_count: 0,
+            busy_until: 0,
         }
     }
 
@@ -166,28 +173,39 @@ impl RateWindow {
     pub fn roll_to(&mut self, now: SimTime) {
         let sec = now.as_secs();
         while self.current_second < sec {
-            let count = self.current_count;
-            self.push_closed(count);
-            self.current_count = 0;
+            let (second, count) = (self.current_second, self.current_count);
             self.current_second += 1;
+            self.current_count = 0;
+            if count > 0 {
+                self.busy_until = second + 1;
+            } else if self.is_full() && self.busy_until + self.capacity as u64 <= second {
+                // Every sample is zero, and so is the one closing.
+                continue;
+            }
+            self.push_closed(count);
         }
     }
 
     fn push_closed(&mut self, count: u64) {
-        if self.buf.len() - self.start == self.capacity {
+        if self.end == self.buf.len() {
+            let len = self.end - self.start;
+            self.buf.copy_within(self.start..self.end, 0);
+            self.buf[len..self.end].fill(0);
+            self.start = 0;
+            self.end = len;
+        }
+        if count > 0 {
+            self.buf[self.end] = count;
+        }
+        self.end += 1;
+        if self.end - self.start > self.capacity {
             self.start += 1;
         }
-        if self.buf.len() == self.capacity + ROLL_SLACK {
-            self.buf.copy_within(self.start.., 0);
-            self.buf.truncate(self.buf.len() - self.start);
-            self.start = 0;
-        }
-        self.buf.push(count);
     }
 
     /// The closed per-second samples, oldest first.
     pub fn samples(&self) -> &[u64] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
     /// How many closed samples exceed `threshold`.
@@ -476,7 +494,9 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             (z ^ (z >> 31)) % bound
         };
-        for capacity in [1usize, 2, 40] {
+        // Busy traffic observes at three steps in four; sparse traffic at
+        // one in sixteen, so its windows fall quiet and wake up again.
+        for (capacity, busy) in [1usize, 2, 40].into_iter().flat_map(|c| [(c, true), (c, false)]) {
             let mut w = RateWindow::new(capacity);
             let mut reference =
                 ShiftingWindow { capacity, closed: Vec::new(), second: 0, count: 0 };
@@ -489,11 +509,11 @@ mod tests {
                 let now = SimTime::from_millis(now_ms);
                 w.roll_to(now);
                 reference.roll_to(now.as_secs());
-                if draw(4) != 0 {
+                if if busy { draw(4) != 0 } else { draw(16) == 0 } {
                     w.observe(now);
                     reference.count += 1;
                 }
-                let at = format!("capacity {capacity}, step {step}");
+                let at = format!("capacity {capacity}, busy {busy}, step {step}");
                 assert_eq!(w.samples(), reference.closed.as_slice(), "{at}");
                 assert_eq!(w.is_full(), reference.closed.len() == capacity, "{at}");
                 assert_eq!(w.mean().to_bits(), reference.mean().to_bits(), "{at}");

@@ -69,8 +69,8 @@ pub struct CoScaler {
     /// guaranteed-SM slack, indexed like [`ClusterView::gpus`].
     slack: Vec<f64>,
     /// Per-tick scratch: one `(function, GPU index)` entry per resident
-    /// slice, sorted, so a function's hosting GPUs are one contiguous run
-    /// found by binary search, in ascending GPU index.
+    /// slice, sorted, so a function's hosting GPUs are one contiguous run,
+    /// in ascending GPU index.
     slices: Vec<(FunctionId, usize)>,
 }
 
@@ -264,13 +264,20 @@ impl ElasticityController for CoScaler {
             slices.extend(gpu.residents.iter().map(|r| (r.func, index)));
         }
         slices.sort_unstable();
-        let mut actions = Vec::new();
+        let mut actions = Vec::with_capacity(functions.len());
+        let mut cursor = 0;
         for f in functions {
-            // This function's slices, one run per hosting GPU. Most
-            // functions at fleet scale host none, so the probe is a binary
-            // search rather than a scan.
-            let first = slices.partition_point(|&(func, _)| func < f.func);
-            let last = first + slices[first..].partition_point(|&(func, _)| func == f.func);
+            // This function's slices, one run per hosting GPU. Views come in
+            // ascending id order, so the run starts at or after the cursor;
+            // an id below the previous one binary-searches instead.
+            let first = if cursor > 0 && slices[cursor - 1].0 >= f.func {
+                slices.partition_point(|&(func, _)| func < f.func)
+            } else {
+                cursor + slices[cursor..].iter().take_while(|&&(func, _)| func < f.func).count()
+            };
+            let last =
+                first + slices[first..].iter().take_while(|&&(func, _)| func == f.func).count();
+            cursor = last;
             let hosting = || slices[first..last].chunk_by(|a, b| a.1 == b.1);
             let budget = hosting()
                 .map(|run| slack[run[0].1] / run.len() as f64)
@@ -569,6 +576,49 @@ mod tests {
             (a, b)
         };
         assert_eq!(run(), run(), "same inputs must yield identical action sequences");
+    }
+
+    /// The slice cursor assumes views in ascending id order and searches
+    /// when an id goes backwards: any order gives each function the budget
+    /// of its own GPU.
+    #[test]
+    fn views_in_any_order_find_their_own_slices() {
+        // fn-g holds a 20 % slice alone on GPU g beside another function's
+        // 60 − 10 g %, so its ceiling is 40 + 10 g %, below what the
+        // window asks for.
+        let cluster = ClusterView {
+            gpus: (0..4)
+                .map(|g| gpu(g, vec![resident(g, 20.0), resident(100 + g, 60.0 - 10.0 * g as f64)]))
+                .collect(),
+        };
+        let hot = hot_window();
+        let view_of = |id: u32| {
+            let mut v = view(&hot, 1, quota(20.0, 40.0, 100.0));
+            v.func = FunctionId(id);
+            v
+        };
+        let grows = |order: [u32; 4]| {
+            let views: Vec<FunctionScaleView> = order.into_iter().map(view_of).collect();
+            let actions =
+                CoScaler::new(CoScalerConfig::default()).on_tick(SimTime::ZERO, &views, &cluster);
+            let mut grows: Vec<(FunctionId, SmRate)> = actions
+                .iter()
+                .filter_map(|a| match *a {
+                    ScaleAction::ResizeQuota { func, request, .. } => Some((func, request)),
+                    _ => None,
+                })
+                .collect();
+            grows.sort_by_key(|&(func, _)| func);
+            grows
+        };
+        let ascending = grows([0, 1, 2, 3]);
+        let ceilings: Vec<f64> = ascending.iter().map(|&(_, r)| r.as_fraction()).collect();
+        for (g, ceiling) in ceilings.iter().enumerate() {
+            let want = 0.4 + 0.1 * g as f64;
+            assert!((ceiling - want).abs() < 1e-9, "fn-{g} grew to {ceiling}, not {want}");
+        }
+        assert_eq!(grows([3, 2, 1, 0]), ascending, "descending views");
+        assert_eq!(grows([2, 0, 3, 1]), ascending, "shuffled views");
     }
 
     #[test]

@@ -158,6 +158,8 @@ impl RateTrace {
 #[derive(Debug, Clone)]
 pub struct TraceProcess {
     trace: RateTrace,
+    /// `trace.peak()`, the thinning rate, folded once at construction.
+    peak: f64,
     rng: SimRng,
     /// Last drawn candidate instant (seconds); the stream cursor.
     cursor_s: f64,
@@ -171,6 +173,7 @@ impl TraceProcess {
     /// Creates a sampler over `trace`.
     pub fn new(trace: RateTrace, seed: u64) -> Self {
         TraceProcess {
+            peak: trace.peak(),
             trace,
             rng: component_rng(seed, "trace-arrivals"),
             cursor_s: 0.0,
@@ -187,7 +190,7 @@ impl TraceProcess {
 impl ArrivalProcess for TraceProcess {
     fn refill(&mut self, horizon: SimTime, max: usize, out: &mut Vec<SimTime>) -> usize {
         let horizon_s = horizon.as_secs_f64().min(self.trace.duration().as_secs_f64());
-        let peak = self.trace.peak();
+        let peak = self.peak;
         if peak <= 0.0 {
             return 0;
         }
