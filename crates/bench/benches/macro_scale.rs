@@ -4,10 +4,17 @@
 //! verifies both produce the identical report, and records the wall-clock
 //! speedup in `BENCH_macro_scale.json` at the repository root so future
 //! PRs track the perf trajectory.
+//!
+//! Peak memory is `VmHWM` from `/proc/self/status`, read after the three
+//! event-driven runs and before the dense one: the high-water mark of the
+//! event lane alone.
+
+mod common;
 
 use std::path::PathBuf;
 use std::time::Instant;
 
+use common::peak_rss_bytes;
 use dilu_cluster::ClusterReport;
 use dilu_core::{NetworkSection, Registry, ScenarioConfig};
 
@@ -81,9 +88,11 @@ fn main() {
          event + dense ({hardware_threads} hardware threads) =="
     );
     let (event_report, event_secs, event_samples) = run_event_median3(&config);
+    let event_peak_rss = peak_rss_bytes();
     println!(
-        "event-driven:           {event_secs:.2} s wall (median of {:?})",
-        event_samples.iter().map(|s| round2(*s)).collect::<Vec<_>>()
+        "event-driven:           {event_secs:.2} s wall (median of {:?}), peak RSS {} MiB",
+        event_samples.iter().map(|s| round2(*s)).collect::<Vec<_>>(),
+        event_peak_rss >> 20,
     );
     let (dense_report, dense_secs) = run(&config, "dense-quantum");
     println!("dense-quantum:          {dense_secs:.2} s wall");
@@ -134,6 +143,7 @@ fn main() {
                 event_samples.iter().map(|&x| serde::Value::Float(round2(x))).collect(),
             ),
         ),
+        (s("event_driven_peak_rss_bytes"), serde::Value::UInt(event_peak_rss)),
         (s("hardware_threads"), serde::Value::UInt(u64::from(hardware_threads))),
         (s("dense_quantum_wall_secs"), serde::Value::Float(round2(dense_secs))),
         (s("network_event_wall_secs"), serde::Value::Float(round2(network_secs))),

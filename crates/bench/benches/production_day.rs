@@ -8,27 +8,16 @@
 //! Peak RSS is `VmHWM` from `/proc/self/status` — the process-wide
 //! high-water mark of the one run.
 
+mod common;
+
 use std::path::PathBuf;
 use std::time::Instant;
 
+use common::peak_rss_bytes;
 use dilu_core::{Registry, ScenarioConfig};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// `VmHWM` (peak resident set) in bytes; 0 where `/proc` is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }
 
 fn main() {

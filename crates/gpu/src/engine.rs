@@ -1,6 +1,6 @@
 //! The quantum-stepped GPU execution engine.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use dilu_sim::{SimDuration, SimTime};
 
@@ -63,6 +63,12 @@ struct Active {
     elapsed: SimDuration,
 }
 
+impl Active {
+    fn new(item: WorkItem) -> Self {
+        Active { item, progress: 0.0, blocks_issued: 0, elapsed: SimDuration::ZERO }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
     config: SlotConfig,
@@ -75,6 +81,42 @@ struct Slot {
 }
 
 impl Slot {
+    fn new(config: SlotConfig) -> Self {
+        Slot {
+            config,
+            queue: VecDeque::new(),
+            active: None,
+            blocks_last_quantum: 0,
+            blocks_total: 0,
+            idle_quanta: 0,
+            last_klc_inflation: 0.0,
+        }
+    }
+
+    /// Makes the head of the queue the active item if none is active.
+    fn activate_head(&mut self) {
+        if self.active.is_none() {
+            if let Some(item) = self.queue.pop_front() {
+                self.active = Some(Active::new(item));
+            }
+        }
+    }
+
+    /// The share policy's view of this slot.
+    fn view(&self, id: InstanceId) -> InstanceView {
+        InstanceView {
+            id,
+            class: self.config.class,
+            request: self.config.request,
+            limit: self.config.limit,
+            demand: self.head_demand(),
+            queue_len: self.queue_len(),
+            blocks_last_quantum: self.blocks_last_quantum,
+            klc_inflation: self.klc_inflation_estimate(),
+            idle_quanta: self.idle_quanta,
+        }
+    }
+
     fn head_demand(&self) -> SmRate {
         match &self.active {
             Some(a) => a.item.demand(),
@@ -114,13 +156,16 @@ impl Slot {
 pub struct GpuEngine {
     mem_capacity: u64,
     mem_used: u64,
-    slots: BTreeMap<InstanceId, Slot>,
+    /// Resident slots, sorted by id: a lookup is a binary search, and a
+    /// step walks them in the order the policy's views list them.
+    slots: Vec<(InstanceId, Slot)>,
     blocks_total: u64,
     /// Reused per-step scratch for policy views (hot-loop allocation
     /// avoidance; cleared each step).
     view_buf: Vec<InstanceView>,
-    /// Reused per-step scratch for resolved effective rates.
-    eff_buf: Vec<(InstanceId, f64)>,
+    /// Reused per-step scratch: the resolved effective rates, one per
+    /// slot at the slot's position.
+    eff_buf: Vec<f64>,
     /// Reused per-step scratch for policy grants.
     grant_buf: Vec<Grant>,
 }
@@ -131,7 +176,7 @@ impl GpuEngine {
         GpuEngine {
             mem_capacity,
             mem_used: 0,
-            slots: BTreeMap::new(),
+            slots: Vec::new(),
             blocks_total: 0,
             view_buf: Vec::new(),
             eff_buf: Vec::new(),
@@ -156,7 +201,24 @@ impl GpuEngine {
 
     /// Resident instance ids in deterministic (ascending) order.
     pub fn instances(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.slots.keys().copied()
+        self.slots.iter().map(|&(id, _)| id)
+    }
+
+    /// The position of `id` among the slots, or where it would be inserted.
+    fn position(&self, id: InstanceId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |&(sid, _)| sid)
+    }
+
+    /// The resident slot of `id`.
+    fn slot(&self, id: InstanceId) -> Result<&Slot, GpuError> {
+        let at = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        Ok(&self.slots[at].1)
+    }
+
+    /// The resident slot of `id`, mutably.
+    fn slot_mut(&mut self, id: InstanceId) -> Result<&mut Slot, GpuError> {
+        let at = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        Ok(&mut self.slots[at].1)
     }
 
     /// Total kernel blocks issued by all instances since creation.
@@ -171,26 +233,15 @@ impl GpuEngine {
     /// Returns [`GpuError::DuplicateInstance`] if `id` is already resident
     /// and [`GpuError::OutOfMemory`] if the reservation does not fit.
     pub fn admit(&mut self, id: InstanceId, config: SlotConfig) -> Result<(), GpuError> {
-        if self.slots.contains_key(&id) {
+        let Err(at) = self.position(id) else {
             return Err(GpuError::DuplicateInstance(id));
-        }
+        };
         let available = self.mem_capacity - self.mem_used;
         if config.mem_bytes > available {
             return Err(GpuError::OutOfMemory { requested: config.mem_bytes, available });
         }
         self.mem_used += config.mem_bytes;
-        self.slots.insert(
-            id,
-            Slot {
-                config,
-                queue: VecDeque::new(),
-                active: None,
-                blocks_last_quantum: 0,
-                blocks_total: 0,
-                idle_quanta: 0,
-                last_klc_inflation: 0.0,
-            },
-        );
+        self.slots.insert(at, (id, Slot::new(config)));
         Ok(())
     }
 
@@ -200,7 +251,8 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn evict(&mut self, id: InstanceId) -> Result<(), GpuError> {
-        let slot = self.slots.remove(&id).ok_or(GpuError::UnknownInstance(id))?;
+        let at = self.position(id).map_err(|_| GpuError::UnknownInstance(id))?;
+        let (_, slot) = self.slots.remove(at);
         self.mem_used -= slot.config.mem_bytes;
         Ok(())
     }
@@ -224,7 +276,7 @@ impl GpuEngine {
         request: SmRate,
         limit: SmRate,
     ) -> Result<(), GpuError> {
-        let slot = self.slots.get_mut(&id).ok_or(GpuError::UnknownInstance(id))?;
+        let slot = self.slot_mut(id)?;
         let request = request.min(SmRate::FULL);
         slot.config.request = request;
         slot.config.limit = limit.max(request);
@@ -237,8 +289,7 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn push_work(&mut self, id: InstanceId, item: WorkItem) -> Result<(), GpuError> {
-        let slot = self.slots.get_mut(&id).ok_or(GpuError::UnknownInstance(id))?;
-        slot.queue.push_back(item);
+        self.slot_mut(id)?.queue.push_back(item);
         Ok(())
     }
 
@@ -248,7 +299,7 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn queue_len(&self, id: InstanceId) -> Result<usize, GpuError> {
-        self.slots.get(&id).map(Slot::queue_len).ok_or(GpuError::UnknownInstance(id))
+        self.slot(id).map(Slot::queue_len)
     }
 
     /// Kernel blocks issued by one instance since admission.
@@ -257,12 +308,12 @@ impl GpuEngine {
     ///
     /// Returns [`GpuError::UnknownInstance`] if `id` is not resident.
     pub fn instance_blocks_total(&self, id: InstanceId) -> Result<u64, GpuError> {
-        self.slots.get(&id).map(|s| s.blocks_total).ok_or(GpuError::UnknownInstance(id))
+        self.slot(id).map(|s| s.blocks_total)
     }
 
     /// `true` when no instance has pending work.
     pub fn is_idle(&self) -> bool {
-        self.slots.values().all(|s| s.queue_len() == 0)
+        self.slots.iter().all(|(_, s)| s.queue_len() == 0)
     }
 
     /// The next instant at which this GPU needs to be stepped, given the
@@ -326,7 +377,7 @@ impl GpuEngine {
         for replayed in 1..=cycles {
             self.views_into(&mut views);
             policy.allocate_into(now, QUANTUM, &views, &mut grants);
-            for slot in self.slots.values_mut() {
+            for (_, slot) in self.slots.iter_mut() {
                 slot.blocks_last_quantum = 0;
                 slot.idle_quanta = slot.idle_quanta.saturating_add(1);
             }
@@ -343,7 +394,7 @@ impl GpuEngine {
                     fixed_point = Some(grants.clone());
                 } else {
                     let skipped = u32::try_from(cycles - replayed).unwrap_or(u32::MAX);
-                    for slot in self.slots.values_mut() {
+                    for (_, slot) in self.slots.iter_mut() {
                         slot.idle_quanta = slot.idle_quanta.saturating_add(skipped);
                     }
                     break;
@@ -364,25 +415,19 @@ impl GpuEngine {
     /// [`views`](Self::views) into a caller-owned buffer (cleared first).
     fn views_into(&self, buf: &mut Vec<InstanceView>) {
         buf.clear();
-        buf.extend(self.slots.iter().map(|(&id, slot)| InstanceView {
-            id,
-            class: slot.config.class,
-            request: slot.config.request,
-            limit: slot.config.limit,
-            demand: slot.head_demand(),
-            queue_len: slot.queue_len(),
-            blocks_last_quantum: slot.blocks_last_quantum,
-            klc_inflation: slot.klc_inflation_estimate(),
-            idle_quanta: slot.idle_quanta,
-        }));
+        buf.extend(self.slots.iter().map(|(id, slot)| slot.view(*id)));
     }
 
     /// Advances the GPU by one quantum starting at `now`.
     ///
-    /// The policy is consulted once; grants are clamped to per-slot demand,
-    /// then physical capacity (Σ ≤ 1.0) is shared proportionally among the
-    /// clamped grants. Compute items progress according to
-    /// [`rate_factor`]; idle items elapse in wall time.
+    /// The policy is consulted once. Each grant is capped at one whole GPU,
+    /// and a slot whose head item demands no SMs (an idle phase or an empty
+    /// queue) gets nothing. If the capped grants sum above the GPU, all of
+    /// them are scaled down proportionally. A grant is *not* clamped to the
+    /// head item's demand: the slot occupies all it is granted, only the
+    /// share up to the item's saturation does useful work (at
+    /// [`rate_factor`]), and the rest of the grant strands SMs. Idle items
+    /// elapse in wall time.
     pub fn step(&mut self, now: SimTime, policy: &mut dyn SharePolicy) -> StepOutcome {
         let mut outcome = StepOutcome::default();
         self.step_into(now, policy, &mut outcome);
@@ -397,34 +442,26 @@ impl GpuEngine {
         policy: &mut dyn SharePolicy,
         outcome: &mut StepOutcome,
     ) {
-        // Activate head items so demand reflects this quantum's work.
-        for slot in self.slots.values_mut() {
-            if slot.active.is_none() {
-                if let Some(item) = slot.queue.pop_front() {
-                    slot.active = Some(Active {
-                        item,
-                        progress: 0.0,
-                        blocks_issued: 0,
-                        elapsed: SimDuration::ZERO,
-                    });
-                }
-            }
-        }
-
         outcome.completions.clear();
         outcome.blocks_issued.clear();
         outcome.total_used = SmRate::ZERO;
+        // One pass activates head items, so demand reflects this quantum's
+        // work, and builds the policy's views.
         let mut views = std::mem::take(&mut self.view_buf);
+        views.clear();
+        for (id, slot) in self.slots.iter_mut() {
+            slot.activate_head();
+            views.push(slot.view(*id));
+        }
         let mut grants = std::mem::take(&mut self.grant_buf);
-        self.views_into(&mut views);
         policy.allocate_into(now, QUANTUM, &views, &mut grants);
         let mut effective = std::mem::take(&mut self.eff_buf);
         self.resolve_grants(&grants, &mut effective);
         self.view_buf = views;
         self.grant_buf = grants;
 
-        for (&id, slot) in self.slots.iter_mut() {
-            let eff = effective.iter().find(|(gid, _)| *gid == id).map(|&(_, e)| e).unwrap_or(0.0);
+        for ((id, slot), &eff) in self.slots.iter_mut().zip(&effective) {
+            let id = *id;
             let (used, blocks) = advance_slot(id, slot, now, eff, &mut outcome.completions);
             slot.blocks_last_quantum = blocks;
             slot.blocks_total += blocks;
@@ -447,25 +484,42 @@ impl GpuEngine {
     /// A kernel stream *occupies* the SMs it is granted (MPS partitions
     /// spread kernels across the whole active-thread allotment even past
     /// the marginal-benefit knee), so contention is resolved over grants;
-    /// the useful share is clamped to the item's saturation later.
-    fn resolve_grants(&self, grants: &[Grant], effective: &mut Vec<(InstanceId, f64)>) {
+    /// the useful share is clamped to the item's saturation later. The
+    /// rates land in `effective`, one per slot at the slot's position.
+    ///
+    /// A slot's grant is the first one in `grants` that names it; a slot
+    /// no grant names gets zero. Policies write their grants in the views'
+    /// order, so slot i takes the grant at position i without a search
+    /// while every position before it named its own slot: ids are unique,
+    /// so no earlier grant can name slot i. From the first position that
+    /// breaks this, each slot runs the first-match search, so grants
+    /// written out of order, missing an instance or naming one twice still
+    /// resolve by that rule.
+    fn resolve_grants(&self, grants: &[Grant], effective: &mut Vec<f64>) {
         effective.clear();
         let mut total = 0.0;
-        for (&id, slot) in self.slots.iter() {
-            let granted = grants
-                .iter()
-                .find(|g| g.id == id)
-                .map(|g| g.smr.as_fraction())
-                .unwrap_or(0.0)
-                .min(1.0);
+        let mut in_order = true;
+        for (i, (id, slot)) in self.slots.iter().enumerate() {
+            in_order &= grants.get(i).is_some_and(|g| g.id == *id);
+            let grant = if in_order {
+                debug_assert_eq!(
+                    grants.iter().position(|g| g.id == *id),
+                    Some(i),
+                    "the grant taken by position is not the first one naming {id}"
+                );
+                Some(&grants[i])
+            } else {
+                grants.iter().find(|g| g.id == *id)
+            };
+            let granted = grant.map_or(0.0, |g| g.smr.as_fraction()).min(1.0);
             // Idle (or empty) slots occupy nothing regardless of grant.
             let eff = if slot.head_demand().is_zero() { 0.0 } else { granted };
             total += eff;
-            effective.push((id, eff));
+            effective.push(eff);
         }
         if total > 1.0 {
             let scale = 1.0 / total;
-            for (_, eff) in effective.iter_mut() {
+            for eff in effective.iter_mut() {
                 *eff *= scale;
             }
         }
@@ -490,12 +544,7 @@ fn advance_slot(
         let Some(active) = slot.active.as_mut() else {
             match slot.queue.pop_front() {
                 Some(item) => {
-                    slot.active = Some(Active {
-                        item,
-                        progress: 0.0,
-                        blocks_issued: 0,
-                        elapsed: SimDuration::ZERO,
-                    });
+                    slot.active = Some(Active::new(item));
                     continue;
                 }
                 None => break,
@@ -933,5 +982,129 @@ mod tests {
         }
         assert!(gpu.views()[0].klc_inflation > 0.5);
         assert!(gpu.views()[0].idle_quanta >= 4);
+    }
+
+    #[test]
+    fn grants_occupy_their_share_past_saturation() {
+        // Fair share grants both slots the whole card; the engine scales
+        // the two grants to 50 % each, not to their 30 % and 90 %
+        // saturations. The 90 % item thus runs at (0.5/0.9)^0.8 ≈ 0.625,
+        // not at the ≈ 0.864 a clamp to demand (25 %/75 %) would give,
+        // and the 30 % item strands 20 % of the card.
+        let mut gpu = GpuEngine::new(GB * 4);
+        gpu.admit(InstanceId(1), slot(TaskClass::BestEffort, 50.0, 100.0)).unwrap();
+        gpu.admit(InstanceId(2), slot(TaskClass::BestEffort, 50.0, 100.0)).unwrap();
+        let long = WorkItem::compute(SimDuration::from_secs(1), SmRate::from_percent(30.0), 10, 1);
+        let short =
+            WorkItem::compute(SimDuration::from_millis(50), SmRate::from_percent(90.0), 10, 2);
+        gpu.push_work(InstanceId(1), long).unwrap();
+        gpu.push_work(InstanceId(2), short).unwrap();
+        let mut now = SimTime::ZERO;
+        let done = loop {
+            let out = gpu.step(now, &mut FairSharePolicy);
+            now += QUANTUM;
+            if let Some(c) = out.completions.first() {
+                break *c;
+            }
+            assert!((out.total_used.as_fraction() - 0.8).abs() < 1e-9, "used {:?}", out.total_used);
+        };
+        assert_eq!(done.tag, 2);
+        let rate = rate_factor(0.5, 0.9);
+        assert!((rate - 0.625).abs() < 1e-3, "rate {rate}");
+        let expected = 50.0 / rate;
+        let got = done.elapsed.as_millis_f64();
+        assert!((got - expected).abs() < 0.01, "elapsed {got} ms, expected {expected} ms");
+    }
+
+    /// Rewrites the grants of a static partition before the engine reads
+    /// them.
+    struct Rewritten {
+        inner: StaticPartitionPolicy,
+        rewrite: fn(&mut Vec<Grant>),
+    }
+
+    impl SharePolicy for Rewritten {
+        fn allocate_into(
+            &mut self,
+            now: SimTime,
+            quantum: SimDuration,
+            views: &[InstanceView],
+            out: &mut Vec<Grant>,
+        ) {
+            self.inner.allocate_into(now, quantum, views, out);
+            (self.rewrite)(out);
+        }
+
+        fn name(&self) -> &str {
+            "rewritten"
+        }
+    }
+
+    fn partition(quotas: [f64; 3]) -> StaticPartitionPolicy {
+        StaticPartitionPolicy::new(
+            (1..=3).zip(quotas).map(|(i, q)| (InstanceId(i), SmRate::from_percent(q))),
+        )
+    }
+
+    /// Steps two identical three-slot GPUs, one under each policy, and
+    /// asserts every quantum's outcome matches. Returns the completions.
+    fn assert_same_steps(a: &mut dyn SharePolicy, b: &mut dyn SharePolicy) -> usize {
+        let gpus: [GpuEngine; 2] = std::array::from_fn(|_| {
+            let mut gpu = GpuEngine::new(GB * 8);
+            // Admitted out of id order: the slots still sort by id.
+            for i in [3, 1, 2] {
+                gpu.admit(InstanceId(i), slot(TaskClass::BestEffort, 30.0, 60.0)).unwrap();
+                gpu.push_work(InstanceId(i), WorkItem::idle(SimDuration::from_millis(i), 0))
+                    .unwrap();
+                for tag in 1..=3 {
+                    let sat = SmRate::from_percent(20.0 * i as f64 + 5.0 * tag as f64);
+                    let t_min = SimDuration::from_millis(4 * i + 3 * tag);
+                    gpu.push_work(InstanceId(i), WorkItem::compute(t_min, sat, 100, tag)).unwrap();
+                }
+            }
+            gpu
+        });
+        let [mut x, mut y] = gpus;
+        let mut now = SimTime::ZERO;
+        let mut completions = 0;
+        for _ in 0..200 {
+            let (p, q) = (x.step(now, a), y.step(now, b));
+            assert_eq!(p.completions, q.completions, "completions at {now}");
+            assert_eq!(p.total_used, q.total_used, "total_used at {now}");
+            assert_eq!(p.blocks_issued, q.blocks_issued, "blocks_issued at {now}");
+            completions += p.completions.len();
+            now += QUANTUM;
+        }
+        assert_eq!(x.views(), y.views());
+        completions
+    }
+
+    #[test]
+    fn grants_in_reverse_order_resolve_like_grants_in_order() {
+        let mut reversed =
+            Rewritten { inner: partition([50.0, 40.0, 30.0]), rewrite: |g| g.reverse() };
+        let done = assert_same_steps(&mut reversed, &mut partition([50.0, 40.0, 30.0]));
+        assert_eq!(done, 12, "every item completes, idle phases included");
+    }
+
+    #[test]
+    fn an_instance_left_out_of_the_grants_gets_zero() {
+        let mut missing = Rewritten {
+            inner: partition([50.0, 40.0, 30.0]),
+            rewrite: |g| g.retain(|g| g.id != InstanceId(2)),
+        };
+        assert_same_steps(&mut missing, &mut partition([50.0, 0.0, 30.0]));
+    }
+
+    #[test]
+    fn an_instance_named_twice_gets_its_first_grant() {
+        // [2 → 10 %, 2 → 40 %, 3 → 30 %]: position 1 names slot 1 (id 2),
+        // but an earlier grant names it too, and that one counts; id 1 is
+        // left out.
+        let mut twice = Rewritten {
+            inner: partition([50.0, 40.0, 30.0]),
+            rewrite: |g| g[0] = Grant { id: InstanceId(2), smr: SmRate::from_percent(10.0) },
+        };
+        assert_same_steps(&mut twice, &mut partition([0.0, 10.0, 30.0]));
     }
 }

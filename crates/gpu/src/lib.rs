@@ -7,9 +7,12 @@
 //!   [`WorkItem`]s (compute phases consume SM rate, idle phases model
 //!   communication/bubbles and consume none);
 //! * every [`QUANTUM`] (5 ms, the paper's RCKM token period) a
-//!   [`SharePolicy`] grants each slot an SM rate; the engine clamps grants to
-//!   per-slot demand, resolves *physical* contention (Σ used ≤ capacity), and
-//!   advances work;
+//!   [`SharePolicy`] grants each slot an SM rate; the engine caps each grant
+//!   at one whole GPU, zeroes the grant of a slot with no head demand,
+//!   scales the grants down proportionally when they sum above the GPU
+//!   (*physical* contention), and advances work. A slot occupies all it is
+//!   granted, but only the share up to its head item's saturation does
+//!   useful work: a grant above saturation strands SMs;
 //! * kernel-block issuance and kernel-launch-cycle (KLC) inflation are
 //!   tracked per slot — exactly the observables Dilu's RCKM (Algorithm 2)
 //!   reacts to.

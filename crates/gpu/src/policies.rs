@@ -9,7 +9,9 @@ use dilu_sim::{SimDuration, SimTime};
 use crate::{Grant, InstanceId, InstanceView, SharePolicy, SmRate};
 
 /// Grants every instance the full GPU; the engine's physical resolution then
-/// shares capacity proportionally to demand.
+/// splits the card equally among the instances with head demand, whatever
+/// their saturation (an instance saturating below its share strands the
+/// rest of it).
 ///
 /// This models an unmanaged GPU (no MPS, no tokens): all co-resident kernel
 /// streams contend freely. With a single resident instance it is exactly the

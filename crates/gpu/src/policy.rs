@@ -57,8 +57,11 @@ pub struct InstanceView {
 pub struct Grant {
     /// Grantee.
     pub id: InstanceId,
-    /// Granted SM rate (will be clamped to demand and physical capacity by
-    /// the engine).
+    /// Granted SM rate. The engine caps it at one whole GPU, zeroes it
+    /// while the instance has no head demand, and scales all grants down
+    /// proportionally when they sum above the GPU. It is not clamped to
+    /// demand: the instance occupies its whole grant, and the part above
+    /// its head item's saturation strands SMs.
     pub smr: SmRate,
 }
 
@@ -90,12 +93,15 @@ pub trait SharePolicy {
     /// Computes grants for the quantum starting at `now` into `out`, which
     /// the policy clears first.
     ///
-    /// Instances absent from `out` receive a zero grant. Grants above an
-    /// instance's demand are clamped by the engine; the sum of grants may
-    /// oversubscribe the GPU, in which case the engine shares physical
-    /// capacity proportionally to the clamped grants. The engine calls
-    /// this once per GPU per token cycle with a buffer it reuses, which is
-    /// why grants are written in place rather than returned.
+    /// Instances absent from `out` receive a zero grant, and an instance
+    /// named twice receives its first grant. The engine caps each grant at
+    /// one whole GPU and zeroes it for an instance with no head demand, but
+    /// does not clamp it to demand. The capped grants may oversubscribe the
+    /// GPU, in which case the engine scales them all down proportionally.
+    /// The engine calls this once per GPU per token cycle with a buffer it
+    /// reuses, which is why grants are written in place rather than
+    /// returned. It reads grants written in the views' order without a
+    /// search.
     fn allocate_into(
         &mut self,
         now: SimTime,

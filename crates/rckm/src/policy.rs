@@ -58,6 +58,8 @@ struct InstanceCtl {
     r_last: f64,
     /// Kernel blocks issued per recent cycle, newest last.
     window: VecDeque<u64>,
+    /// The sum of `window`, kept by [`push_rate`](Self::push_rate).
+    window_sum: u64,
 }
 
 impl InstanceCtl {
@@ -66,18 +68,23 @@ impl InstanceCtl {
             state: ScaleState::Contention,
             r_last: 0.0,
             window: VecDeque::with_capacity(rate_window),
+            window_sum: 0,
         }
     }
 
     fn push_rate(&mut self, blocks: u64, cap: usize) {
         if self.window.len() == cap {
-            self.window.pop_front();
+            if let Some(oldest) = self.window.pop_front() {
+                self.window_sum -= oldest;
+            }
         }
         self.window.push_back(blocks);
-    }
-
-    fn window_sum(&self) -> u64 {
-        self.window.iter().sum()
+        self.window_sum += blocks;
+        debug_assert_eq!(
+            self.window_sum,
+            self.window.iter().sum::<u64>(),
+            "the running kernel-rate sum drifted from its window"
+        );
     }
 }
 
@@ -87,10 +94,11 @@ impl InstanceCtl {
 #[derive(Debug, Clone)]
 pub struct RckmPolicy {
     config: RckmConfig,
-    /// Per-instance control state, in first-seen order. A linear small-vec
-    /// instead of a hash map: the token manager runs once per 5 ms cycle
-    /// per GPU with a handful of residents, so in the simulator's hot loop
-    /// a few `u64` compares beat hashing by a wide margin.
+    /// Per-instance control state, in id order. A sorted small-vec instead
+    /// of a hash map: the token manager runs once per 5 ms cycle per GPU
+    /// with a handful of residents, and the engine lists its views in id
+    /// order too, so a cycle with no join or leave finds each view's state
+    /// at the view's own position.
     ctl: Vec<(InstanceId, InstanceCtl)>,
     /// Reused per-cycle scratch: each view's kernel-rate window sum.
     sum_buf: Vec<u64>,
@@ -150,7 +158,17 @@ impl RckmPolicy {
 
     /// The scaling state of `id`, if tracked.
     pub fn state_of(&self, id: InstanceId) -> Option<ScaleState> {
-        self.ctl.iter().find(|(cid, _)| *cid == id).map(|(_, c)| c.state)
+        self.position(id).ok().map(|at| self.ctl[at].1.state)
+    }
+
+    /// The position of `id` in `ctl`, or where it would be inserted.
+    fn position(&self, id: InstanceId) -> Result<usize, usize> {
+        self.ctl.binary_search_by_key(&id, |&(cid, _)| cid)
+    }
+
+    /// `true` when `ctl` holds exactly the views' ids, at their positions.
+    fn aligned_with(&self, views: &[InstanceView]) -> bool {
+        self.ctl.len() == views.len() && self.ctl.iter().zip(views).all(|((id, _), v)| *id == v.id)
     }
 
     /// The burst/contention pressure of an instance: relative KLC inflation,
@@ -208,18 +226,27 @@ impl SharePolicy for RckmPolicy {
         // from, up to the all-zero window it refills identically, so it
         // is a no-op.
         let mut unchanged = views.iter().all(|v| v.queue_len == 0 && v.blocks_last_quantum == 0);
-        // Drop state for departed instances.
-        let tracked = self.ctl.len();
-        self.ctl.retain(|(id, _)| views.iter().any(|v| v.id == *id));
-        unchanged &= self.ctl.len() == tracked;
-        for v in views {
-            match self.ctl.iter_mut().find(|(id, _)| *id == v.id) {
-                Some((_, c)) => c.push_rate(v.blocks_last_quantum, cfg.rate_window),
-                None => {
-                    unchanged = false;
-                    let mut c = InstanceCtl::new(cfg.rate_window);
-                    c.push_rate(v.blocks_last_quantum, cfg.rate_window);
-                    self.ctl.push((v.id, c));
+        // The common cycle: the same residents as last time, listed in id
+        // order like `ctl`, so each view's state sits at its position.
+        let aligned = self.aligned_with(views);
+        if aligned {
+            for ((_, c), v) in self.ctl.iter_mut().zip(views) {
+                c.push_rate(v.blocks_last_quantum, cfg.rate_window);
+            }
+        } else {
+            // Drop state for departed instances.
+            let tracked = self.ctl.len();
+            self.ctl.retain(|(id, _)| views.iter().any(|v| v.id == *id));
+            unchanged &= self.ctl.len() == tracked;
+            for v in views {
+                match self.position(v.id) {
+                    Ok(at) => self.ctl[at].1.push_rate(v.blocks_last_quantum, cfg.rate_window),
+                    Err(at) => {
+                        unchanged = false;
+                        let mut c = InstanceCtl::new(cfg.rate_window);
+                        c.push_rate(v.blocks_last_quantum, cfg.rate_window);
+                        self.ctl.insert(at, (v.id, c));
+                    }
                 }
             }
         }
@@ -234,9 +261,13 @@ impl SharePolicy for RckmPolicy {
         // quadratically).
         let mut sums = std::mem::take(&mut self.sum_buf);
         sums.clear();
-        sums.extend(views.iter().map(|v| {
-            self.ctl.iter().find(|(id, _)| *id == v.id).map(|(_, c)| c.window_sum()).unwrap_or(0)
-        }));
+        if aligned {
+            sums.extend(self.ctl.iter().map(|(_, c)| c.window_sum));
+        } else {
+            sums.extend(
+                views.iter().map(|v| self.position(v.id).map_or(0, |at| self.ctl[at].1.window_sum)),
+            );
+        }
         unchanged &= sums.iter().all(|&sum| sum == 0)
             && self.ctl.iter().all(|(_, c)| c.window.len() == cfg.rate_window);
 
@@ -250,8 +281,12 @@ impl SharePolicy for RckmPolicy {
             let others_idle = sums.iter().enumerate().all(|(j, &sum)| j == i || sum == 0);
             let alone = views.len() == 1;
             let my_sum = sums[i];
-            let (_, ctl) =
-                self.ctl.iter_mut().find(|(id, _)| *id == v.id).expect("ctl inserted above");
+            let at = if aligned {
+                i
+            } else {
+                self.position(v.id).expect("every view's state was inserted above")
+            };
+            let ctl = &mut self.ctl[at].1;
             let request = cfg.max_tokens * v.request.as_fraction();
             let limit = cfg.max_tokens * v.limit.as_fraction();
 
@@ -304,7 +339,8 @@ impl SharePolicy for RckmPolicy {
         // last-grant state needs re-clamping so a shrink takes effect this
         // quantum instead of waiting for the multiplicative ramp to decay,
         // and a grow starts its ramp from the new request floor.
-        if let Some((_, ctl)) = self.ctl.iter_mut().find(|(cid, _)| *cid == id) {
+        if let Ok(at) = self.position(id) {
+            let ctl = &mut self.ctl[at].1;
             let floor = self.config.max_tokens * request.as_fraction();
             let ceiling = self.config.max_tokens * limit.as_fraction();
             ctl.r_last = ctl.r_last.clamp(floor.min(ceiling), ceiling);
